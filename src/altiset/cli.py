@@ -19,9 +19,8 @@ from .collective import collective_altiset
 from .dependence import (
     PointSet2D,
     decreasingness_index,
-    epsilon,
+    epsilon_of_indices,
     increasing_decomposition,
-    increasingness_index,
 )
 from .domains import DEFAULT_INFLATE, DEFAULT_RESOLUTION, GridMeasure, evolve
 from .errors import AltisetError, ParseError
@@ -165,11 +164,14 @@ def _run_layers(args, digest, text):
 
 def _run_correlate(args, digest, text):
     points = datasets.parse_points_csv(text)
+    # one layering per direction: the blocks are the increasing layers
+    blocks = increasing_decomposition(points)
+    plus, minus = len(blocks), decreasingness_index(points)
     result = {
-        "blocks": increasing_decomposition(points),
-        "epsilon": epsilon(points),
-        "iota_minus": decreasingness_index(points),
-        "iota_plus": increasingness_index(points),
+        "blocks": blocks,
+        "epsilon": epsilon_of_indices(len(points), plus, minus),
+        "iota_minus": minus,
+        "iota_plus": plus,
     }
     return {}, result
 

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .collective import SubsetFamily, ValuedGroundSet
 from .dependence import PointSet2D
@@ -32,10 +35,39 @@ def _load_json(text: str) -> dict:
 # -- relations ------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _index_pairs(pairs: list, size: int) -> Union[np.ndarray, list]:
+    """The pairs checked against size, as an (m, 2) integer array when
+    every index fits in int64.
+
+    A ParseError names the first offending pair in input order.
+    """
+    entries = itertools.chain.from_iterable
+    try:
+        # json.loads makes true/false bools, not ints, so the set of entry
+        # types rules out bools, floats, strings and nested lists at once
+        if set(map(len, pairs)) <= {2} and set(map(type, entries(pairs))) <= {int}:
+            idx = np.fromiter(entries(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+            if not ((idx < 0) | (idx >= size)).any():
+                return idx
+    except (TypeError, OverflowError):
+        pass  # a non-list pair, or an index beyond int64
+    for k, p in enumerate(pairs):
+        if not isinstance(p, list) or len(p) != 2 or not all(_is_int(v) for v in p):
+            raise ParseError(f'"pairs"[{k}] must be a pair of integers')
+        a, b = p
+        if not (0 <= a < size and 0 <= b < size):
+            raise ParseError(f'"pairs"[{k}] = [{a}, {b}] out of range for size {size}')
+    return pairs
+
+
 def parse_relation(text: str) -> FiniteRelation:
     doc = _load_json(text)
     size = doc.get("size")
-    if not isinstance(size, int) or size < 0:
+    if not _is_int(size) or size < 0:
         raise ParseError('"size" must be a non-negative integer')
     labels = doc.get("labels")
     if labels is not None:
@@ -44,18 +76,7 @@ def parse_relation(text: str) -> FiniteRelation:
     pairs = doc.get("pairs", [])
     if not isinstance(pairs, list):
         raise ParseError('"pairs" must be a list of [a, b] index pairs')
-    checked = []
-    for k, p in enumerate(pairs):
-        if (
-            not isinstance(p, list)
-            or len(p) != 2
-            or not all(isinstance(v, int) for v in p)
-        ):
-            raise ParseError(f'"pairs"[{k}] must be a pair of integers')
-        a, b = p
-        if not (0 <= a < size and 0 <= b < size):
-            raise ParseError(f'"pairs"[{k}] = [{a}, {b}] out of range for size {size}')
-        checked.append((a, b))
+    checked = _index_pairs(pairs, size)
     universe = Universe(size, tuple(labels) if labels is not None else None)
     try:
         return FiniteRelation.from_pairs(universe, checked)

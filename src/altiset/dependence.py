@@ -60,12 +60,21 @@ def decreasingness_index(points: PointSet2D) -> int:
 
 def epsilon(points: PointSet2D) -> float:
     """log_n of (decreasingness / increasingness); 1 = direct, -1 = indirect."""
-    n = len(points)
+    _require_two(len(points))
+    return epsilon_of_indices(
+        len(points), increasingness_index(points), decreasingness_index(points)
+    )
+
+
+def epsilon_of_indices(n: int, plus: int, minus: int) -> float:
+    """epsilon of n points from their increasingness and decreasingness indices."""
+    _require_two(n)
+    return math.log(minus / plus) / math.log(n)
+
+
+def _require_two(n: int) -> None:
     if n <= 1:
         raise DegenerateInputError(f"epsilon needs at least 2 points, got {n}")
-    plus = increasingness_index(points)
-    minus = decreasingness_index(points)
-    return math.log(minus / plus) / math.log(n)
 
 
 def increasing_decomposition(points: PointSet2D) -> list[list[int]]:

@@ -4,6 +4,12 @@ Repeatedly removing the altiset of R peels a relation with acyclic
 asymmetric interior into disjoint layers; the layer count equals the
 chromatic number of the comparability digraph and the longest chain
 length.  Indices are 1-based.
+
+The layering is computed in one level-wise Kahn pass (Kahn, CACM 1962)
+over the asymmetric interior rather than by peeling: an element's upper
+index is one more than the largest upper index among the elements that
+strictly dominate it.  That costs O(n^2) numpy work for any depth; the
+cycle DFS runs only when the pass stalls, to extract the witness.
 """
 
 from __future__ import annotations
@@ -46,33 +52,42 @@ def _require_aa(rel: FiniteRelation) -> None:
         raise CyclicRelationError(cycle)
 
 
-def _peel(rel: FiniteRelation) -> list[frozenset[int]]:
-    """Layers V^1, V^2, ... of successive altiset removal; caller checks AA."""
-    remaining = set(range(rel.universe.size))
-    layers: list[frozenset[int]] = []
-    guard = rel.universe.size + 1
-    while remaining:
-        if len(layers) >= guard:
-            raise CyclicRelationError([])  # unreachable under AA; guards bugs
-        layer = rel.altiset(remaining)
-        layers.append(layer)
-        remaining -= layer
-    return layers
+def _levels(strict: np.ndarray) -> Optional[np.ndarray]:
+    """Kahn's pass by levels over a strict domination matrix.
+
+    strict[a, b] means b strictly dominates a.  Level 1 holds the elements
+    with no dominator, level k + 1 those whose last dominator left at
+    level k.  Returns the 1-based level of each element, or None when a
+    cycle stops the pass before every element is placed.
+    """
+    n = strict.shape[0]
+    # row f of dominated_by lists the elements that f strictly dominates
+    dominated_by = np.ascontiguousarray(strict.T)
+    pending = strict.sum(axis=1)  # strict dominators not yet placed
+    level = np.zeros(n, dtype=np.int64)
+    frontier = np.flatnonzero(pending == 0)
+    k = placed = 0
+    while frontier.size:
+        k += 1
+        level[frontier] = k
+        placed += frontier.size
+        freed = dominated_by[frontier].sum(axis=0)
+        pending -= freed
+        frontier = np.flatnonzero((pending == 0) & (freed > 0))
+    return level if placed == n else None
 
 
 def upper_layers(rel: FiniteRelation) -> LayerDecomposition:
     """Both layer index maps and d(R); requires the AA-property."""
-    _require_aa(rel)
-    n = rel.universe.size
-    upper = [0] * n
-    for i, layer in enumerate(_peel(rel), start=1):
-        for x in layer:
-            upper[x] = i
-    lower = [0] * n
-    for i, layer in enumerate(_peel(rel.inverse()), start=1):
-        for x in layer:
-            lower[x] = i
-    return LayerDecomposition(tuple(upper), tuple(lower), max(upper, default=0))
+    adj = rel.adjacency
+    strict = adj & ~adj.T
+    upper = _levels(strict)
+    if upper is None:
+        raise CyclicRelationError(rel.find_asym_cycle())
+    lower = _levels(strict.T)  # the strict part of R^-1
+    return LayerDecomposition(
+        tuple(upper.tolist()), tuple(lower.tolist()), int(upper.max(initial=0))
+    )
 
 
 def apply_operator(op: str, rel: FiniteRelation, subset: Iterable[int]) -> frozenset[int]:
@@ -121,32 +136,15 @@ def chain_coloring(term: Sequence[str], rel: FiniteRelation) -> tuple[int, ...]:
 
 
 def longest_chain(strict: FiniteRelation) -> int:
-    """Vertex count of the longest chain of a strict order (DP over a DAG)."""
+    """Vertex count of the longest chain of a strict order."""
     adj = strict.adjacency
-    n = strict.universe.size
     if adj.trace() or (adj & adj.T).any():
         raise NotAStrictOrderError("relation is not irreflexive and asymmetric")
     closure = strict.transitive_closure()
     if not np.array_equal(closure.adjacency, adj):
         raise NotAStrictOrderError("relation is not transitive")
-    if n == 0:
-        return 0
-    # topological order by in-degree peeling
-    indeg = adj.sum(axis=0).astype(int)
-    order = []
-    ready = [v for v in range(n) if indeg[v] == 0]
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in np.nonzero(adj[v])[0]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(int(w))
-    best = [1] * n
-    for v in order:
-        for w in np.nonzero(adj[v])[0]:
-            best[w] = max(best[w], best[v] + 1)
-    return max(best)
+    # a strict order is acyclic, and its level count is its longest chain
+    return int(_levels(adj).max(initial=0))
 
 
 def chromatic_number_oracle(graph: FiniteRelation, cap: int = 12) -> int:

@@ -64,12 +64,22 @@ class FiniteRelation:
 
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> "FiniteRelation":
+        """Relation holding exactly the given (a, b) index pairs.
+
+        The pairs are checked and scattered as one (m, 2) array; the error
+        names the first out-of-range pair in input order.
+        """
         n = universe.size
         adj = np.zeros((n, n), dtype=bool)
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        if len(pairs):
+            idx = np.asarray(pairs).reshape(len(pairs), 2)
+            bad = ((idx < 0) | (idx >= n)).any(axis=1)
+            if bad.any():
+                a, b = pairs[int(bad.argmax())]
                 raise SubsetIndexError(f"pair ({a},{b}) out of range for size {n}")
-            adj[a, b] = True
+            adj[idx[:, 0], idx[:, 1]] = True
         return cls(universe, adj)
 
     @classmethod
@@ -84,16 +94,19 @@ class FiniteRelation:
 
     @classmethod
     def induce(cls, universe: Universe, keys: Sequence, strict: bool = True) -> "FiniteRelation":
-        """Pull a (strict) linear order back along a key function."""
+        """Pull a (strict) linear order back along a key function.
+
+        Numeric keys are compared as one numpy array (a mix of integers and
+        floats as float64); other keys as Python objects.
+        """
         if len(keys) != universe.size:
             raise DimensionError(
                 f"{len(keys)} keys for universe of size {universe.size}"
             )
-        n = universe.size
-        adj = np.zeros((n, n), dtype=bool)
-        for a in range(n):
-            for b in range(n):
-                adj[a, b] = keys[a] < keys[b] if strict else keys[a] <= keys[b]
+        k = np.asarray(keys)
+        if k.ndim != 1 or k.dtype.kind not in "biuf":
+            k = np.fromiter(keys, dtype=object, count=len(keys))
+        adj = k[:, None] < k[None, :] if strict else k[:, None] <= k[None, :]
         return cls(universe, adj)
 
     # -- basic queries ----------------------------------------------------

@@ -131,6 +131,12 @@ class TestExitCodes:
             "--no-timestamp", "altiset", "--relation", str(FIXTURES / "bad_pairs.json")
         ]) == EXIT_IO
 
+    def test_boolean_relation_entries_are_parse_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bools.json"
+        bad.write_text('{"size": true, "pairs": [[false, false]]}')
+        assert main(["--no-timestamp", "layers", "--relation", str(bad)]) == EXIT_IO
+        assert "parse error" in capsys.readouterr().err
+
     def test_csv_parse_error_names_line(self, capsys):
         assert main(["--no-timestamp", "correlate", str(FIXTURES / "bad_cell.csv")]) == EXIT_IO
         assert "line 3" in capsys.readouterr().err
@@ -147,3 +153,31 @@ class TestExitCodes:
         single = tmp_path / "one.csv"
         single.write_text("x,y\n1,1\n")
         assert main(["--no-timestamp", "correlate", str(single)]) == EXIT_DOMAIN
+        assert "epsilon needs at least 2 points" in capsys.readouterr().err
+
+
+def test_correlate_matches_library(tmp_path, capsys):
+    import random
+
+    from altiset import datasets
+    from altiset.dependence import (
+        decreasingness_index,
+        epsilon,
+        increasing_decomposition,
+        increasingness_index,
+    )
+
+    rng = random.Random(5)
+    for n in (2, 7, 40):
+        path = tmp_path / f"points{n}.csv"
+        rows = {(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(n)}
+        path.write_text("".join(f"{x},{y}\n" for x, y in rows))
+        points = datasets.parse_points_csv(path.read_text())
+        assert main(["--no-timestamp", "correlate", str(path)]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result == {
+            "blocks": increasing_decomposition(points),
+            "epsilon": epsilon(points),
+            "iota_minus": decreasingness_index(points),
+            "iota_plus": increasingness_index(points),
+        }

@@ -36,6 +36,31 @@ class TestRelationFormat:
         with pytest.raises(ParseError, match="out of range"):
             datasets.parse_relation(read("bad_pairs.json"))
 
+    def test_names_first_bad_pair_in_input_order(self):
+        head = '{"size": 3, "pairs": [[0, 1], '
+        cases = {
+            '[3, 0], [0, "1"]]}': r'"pairs"\[1\] = \[3, 0\] out of range for size 3',
+            '[0, "1"], [3, 0]]}': r'"pairs"\[1\] must be a pair of integers',
+            '[0, 1.5], [-1, 0]]}': r'"pairs"\[1\] must be a pair of integers',
+            '[1, 2, 0], [3, 0]]}': r'"pairs"\[1\] must be a pair of integers',
+            '[0, 2], [1, -1], [0]]}': r'"pairs"\[2\] = \[1, -1\] out of range',
+            '[0, 2], [2, 18446744073709551616]]}': r'"pairs"\[2\] = .* out of range',
+        }
+        for tail, message in cases.items():
+            with pytest.raises(ParseError, match=message):
+                datasets.parse_relation(head + tail)
+
+    def test_booleans_are_not_integers(self):
+        for text in (
+            '{"size": true, "pairs": [[false, false]]}',
+            '{"size": 2, "pairs": [[0, true]]}',
+            '{"size": 2, "pairs": [[0, 1], [false, 1]]}',
+        ):
+            with pytest.raises(ParseError):
+                datasets.parse_relation(text)
+        with pytest.raises(ParseError, match='"pairs"\\[1\\] must be a pair of integers'):
+            datasets.parse_relation('{"size": 2, "pairs": [[0, 1], [false, 1]]}')
+
     def test_bad_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             datasets.parse_relation("{nope")

@@ -50,10 +50,21 @@ class TestUpperLayers:
         assert d.upper_layer(2) == {0}
         assert d.class_count == 2
 
-    def test_cycle_raises_with_witness(self):
+    def test_cycle_raises_with_witness(self, rng):
         with pytest.raises(CyclicRelationError) as err:
             upper_layers(CYCLE3)
         assert len(err.value.cycle) >= 3
+        cases = [random_relation(rng, rng.randint(3, 10)) for _ in range(200)]
+        cases += [random_relation(rng, n, density=0.02) for n in (150, 300)]
+        cyclic = [r for r in cases if not r.has_aa_property()]
+        assert len(cyclic) > 50 and cyclic[-1].universe.size == 300
+        for r in cyclic:
+            with pytest.raises(CyclicRelationError) as err:
+                upper_layers(r)
+            cycle = err.value.cycle
+            strict = r.asym_interior()
+            assert len(cycle) >= 4 and cycle[0] == cycle[-1]
+            assert all((a, b) in strict for a, b in zip(cycle, cycle[1:]))
 
     def test_empty_universe(self):
         d = upper_layers(FiniteRelation.empty(Universe(0)))
@@ -101,6 +112,47 @@ class TestUpperLayers:
                 for a in layer:
                     for b in layer:
                         assert (a, b) not in t
+
+
+def peel_oracle(r):
+    """Upper and lower indices by definitional peeling: successive altisets."""
+
+    def indices(r):
+        index = [0] * r.universe.size
+        remaining = set(range(r.universe.size))
+        i = 0
+        while remaining:
+            i += 1
+            layer = r.altiset(remaining)
+            assert layer, "peeling stalled on a cyclic relation"
+            for x in layer:
+                index[x] = i
+            remaining -= layer
+        return tuple(index)
+
+    return indices(r), indices(r.inverse())
+
+
+class TestLayersMatchPeeling:
+    def test_random_small(self, rng):
+        for _ in range(500):
+            r = random_aa_relation(rng, rng.randint(0, 14), rng.choice([0.1, 0.4, 0.8]))
+            d = upper_layers(r)
+            assert (d.upper_index, d.lower_index) == peel_oracle(r)
+            assert d.class_count == max(d.upper_index, default=0)
+
+    def test_total_order(self):
+        n = 300
+        d = upper_layers(FiniteRelation.induce(Universe(n), list(range(n))))
+        assert d.upper_index == tuple(range(n, 0, -1))
+        assert d.lower_index == tuple(range(1, n + 1))
+        assert d.class_count == n
+
+    def test_random_large(self, rng):
+        r = random_aa_relation(rng, 200, density=0.05)
+        d = upper_layers(r)
+        assert (d.upper_index, d.lower_index) == peel_oracle(r)
+        assert d.class_count > 5
 
 
 class TestOperators:
@@ -198,6 +250,12 @@ class TestLongestChain:
 
     def test_antichain(self):
         assert longest_chain(rel(4, [])) == 1
+
+    def test_empty(self):
+        assert longest_chain(rel(0, [])) == 0
+
+    def test_total_order(self):
+        assert longest_chain(FiniteRelation.induce(Universe(300), list(range(300)))) == 300
 
     def test_not_strict_order_rejected(self):
         with pytest.raises(NotAStrictOrderError):

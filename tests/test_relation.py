@@ -32,6 +32,27 @@ class TestInduce:
         with pytest.raises(DimensionError):
             FiniteRelation.induce(Universe(3), [1, 2])
 
+    def test_matches_pairwise_definition(self, rng):
+        for _ in range(200):
+            n = rng.randint(0, 9)
+            pool = [0, 1, 2, 1.0, 1.5, -2, -0.5, 2.0]
+            keys = [rng.choice(pool) for _ in range(n)]
+            if rng.random() < 0.5:
+                keys = [int(k) for k in keys]
+            for strict in (True, False):
+                r = FiniteRelation.induce(Universe(n), keys, strict=strict)
+                expected = {
+                    (a, b)
+                    for a in range(n)
+                    for b in range(n)
+                    if (keys[a] < keys[b] if strict else keys[a] <= keys[b])
+                }
+                assert set(r.pairs()) == expected
+
+    def test_non_numeric_keys_compare_as_python_objects(self):
+        r = FiniteRelation.induce(Universe(3), [(1, 2), (1, 1), (0, 5)])
+        assert set(r.pairs()) == {(1, 0), (2, 0), (2, 1)}
+
     def test_strict_induction_is_strict_order(self, rng):
         for _ in range(50):
             keys = [rng.randint(0, 4) for _ in range(6)]
@@ -40,6 +61,21 @@ class TestInduce:
             assert not adj.trace()
             assert not (adj & adj.T).any()
             assert r.transitive_closure() == r
+
+
+class TestFromPairs:
+    def test_pairs_array_and_iterator_agree(self):
+        pairs = [(0, 1), (2, 2), (0, 1)]
+        expected = rel(3, pairs)
+        assert FiniteRelation.from_pairs(Universe(3), iter(pairs)) == expected
+        assert FiniteRelation.from_pairs(Universe(3), np.array(pairs)) == expected
+        assert set(expected.pairs()) == {(0, 1), (2, 2)}
+
+    def test_names_first_out_of_range_pair(self):
+        with pytest.raises(SubsetIndexError, match=r"pair \(3,0\) out of range for size 3"):
+            rel(3, [(0, 1), (3, 0), (-1, 0), (0, 2**70)])
+        with pytest.raises(SubsetIndexError, match=r"pair \(1,-1\) out of range"):
+            FiniteRelation.from_pairs(Universe(3), np.array([[0, 1], [1, -1], [5, 5]]))
 
 
 class TestUnion:
