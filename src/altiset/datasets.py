@@ -10,6 +10,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -80,6 +81,8 @@ def parse_relation(text: str) -> FiniteRelation:
     universe = Universe(size, tuple(labels) if labels is not None else None)
     try:
         return FiniteRelation.from_pairs(universe, checked)
+    except MemoryError as exc:
+        raise ParseError(f'"size" {size} is too large to hold in memory') from exc
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -135,7 +138,7 @@ def emit_order_system(system: OrderSystem) -> str:
 
 
 def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tuple[float, ...]]:
-    """Rows of exactly `columns` numeric cells; one header row tolerated."""
+    """Rows of exactly `columns` finite numeric cells; one header row tolerated."""
     rows: list[tuple[float, ...]] = []
     reader = csv.reader(io.StringIO(text))
     for lineno, row in enumerate(reader, start=1):
@@ -146,11 +149,14 @@ def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tup
                 f"line {lineno}: expected {columns} columns ({', '.join(names)}), got {len(row)}"
             )
         try:
-            rows.append(tuple(float(c) for c in row))
+            values = tuple(float(c) for c in row)
         except ValueError as exc:
             if lineno == 1:
                 continue  # header row
             raise ParseError(f"line {lineno}: non-numeric cell in {row}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"line {lineno}: non-finite cell in {row}")
+        rows.append(values)
     return rows
 
 

@@ -3,17 +3,21 @@
 The abstract measure is realized as a fixed deterministic grid of cell
 centers: measures are exact multiples of the cell area, so the valuation
 evolution has a finite image and its fixed point is detected by exact
-equality.
+equality.  `evolve` builds the summit-to-cell squared distances once and
+runs each step as one pass of running minima over the summits in
+descending valuation order: O(n·cells) per step, not the O(n²·cells) of
+calling `voronoi_mu` once per summit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AltisetError, DimensionError, GridError
+from .errors import AltisetError, DimensionError, GridError, NonFiniteError
 
 DEFAULT_RESOLUTION = 128
 DEFAULT_INFLATE = 0.25
@@ -33,6 +37,9 @@ class GridMeasure:
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise GridError("bounding box is degenerate")
+        # finite spans keep every cell center, and so every distance, free of NaN
+        if not (math.isfinite(self.xmax - self.xmin) and math.isfinite(self.ymax - self.ymin)):
+            raise GridError("bounding box must have finite sides")
         if self.nx < 1 or self.ny < 1:
             raise GridError("resolution must be >= 1 in both axes")
 
@@ -82,11 +89,12 @@ class GridMeasure:
 
 
 def _sq_dists(grid: GridMeasure, summits: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Squared distance from every cell center to every summit: (cells, summits)."""
+    """Squared distance from every summit to every cell center: (summits, cells),
+    one contiguous row per summit."""
     gx, gy = grid.centers()
     sx = np.array([s[0] for s in summits])
     sy = np.array([s[1] for s in summits])
-    return (gx[:, None] - sx[None, :]) ** 2 + (gy[:, None] - sy[None, :]) ** 2
+    return (gx[None, :] - sx[:, None]) ** 2 + (gy[None, :] - sy[:, None]) ** 2
 
 
 def inverse_altiset_member(
@@ -123,13 +131,13 @@ def inverse_altiset_mask(
         raise IndexError(f"summit index {a} out of range")
     sq = _sq_dists(grid, summits)
     h = np.array(altitudes, dtype=float)
-    da = sq[:, a]
+    da = sq[a]
     ha = h[a]
-    dominated = np.zeros(sq.shape[0], dtype=bool)
+    dominated = np.zeros(sq.shape[1], dtype=bool)
     for b in range(len(summits)):
         if b == a:
             continue
-        db = sq[:, b]
+        db = sq[b]
         dominated |= (h[b] >= ha) & (db <= da) & ((h[b] > ha) | (db < da))
     return ~dominated
 
@@ -156,12 +164,12 @@ def voronoi_mu(
     if x in excluded:
         raise AltisetError(f"summit {x} must not be in the excluded set")
     sq = _sq_dists(grid, summits)
-    mine = sq[:, x]
-    ok = np.ones(sq.shape[0], dtype=bool)
+    mine = sq[x]
+    ok = np.ones(sq.shape[1], dtype=bool)
     for b in range(len(summits)):
         if b == x or b in excluded:
             continue
-        ok &= sq[:, b] >= mine
+        ok &= sq[b] >= mine
     return grid.cell_area * int(ok.sum())
 
 
@@ -177,6 +185,30 @@ class ValuationTrace:
         return self.valuations[self.stop_index]
 
 
+def _evolve_step(sq: np.ndarray, h: np.ndarray, cell_area: float) -> tuple[float, ...]:
+    """h'(x) = voronoi_mu(x, {y: h(y) < h(x)}) for every summit x at once.
+
+    x counts a cell when its squared distance is <= that of every y != x
+    with h(y) >= h(x), that is when it is <= their minimum (a float minimum
+    is one of its inputs, so the comparison is exact).  Taking x itself
+    into that minimum changes nothing, so a tied group needs no
+    leave-one-out: visiting the groups of equal h in descending order,
+    the running minimum over every summit visited so far, this group
+    included, is what each of its members is compared against.
+    """
+    order = np.argsort(-h, kind="stable")
+    ranked = h[order]
+    groups = np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
+    running = np.full(sq.shape[1], np.inf)
+    nxt = [0.0] * len(h)
+    for group in groups:
+        for y in group:
+            np.minimum(running, sq[y], out=running)
+        for x in group:
+            nxt[x] = cell_area * int(np.count_nonzero(sq[x] <= running))
+    return tuple(nxt)
+
+
 def evolve(
     summits: Sequence[tuple[float, float]],
     h0: Sequence[float],
@@ -186,20 +218,28 @@ def evolve(
     """Iterate h_{i+1}(x) = mu(x, {y: h_i(y) < h_i(x)}) to its fixed point.
 
     The fixed point exists because the grid measure has a finite image;
-    exceeding max_steps therefore signals an implementation bug.
+    exceeding max_steps therefore signals an implementation bug.  The
+    (summits, cells) squared distances are built once; each step is then
+    one running-minimum pass over the summits in descending valuation
+    order, O(n·cells), with results equal to calling `voronoi_mu` per
+    summit.  Summit coordinates and h0 must be finite.
     """
     if max_steps < 1:
         raise DimensionError(f"max_steps must be >= 1, got {max_steps}")
     if len(h0) != len(summits):
         raise DimensionError("initial valuation length does not match summits")
     current = tuple(float(v) for v in h0)
+    # the descending sort needs a total order, and the running minima need
+    # NaN-free distances (the grid's finite sides rule out NaN centers)
+    for x, v in enumerate(current):
+        if not math.isfinite(v):
+            raise NonFiniteError(f"initial valuation must be finite, got {v} for summit {x}")
+    if not all(math.isfinite(c) for s in summits for c in s):
+        raise NonFiniteError("summit coordinates must be finite")
+    sq = _sq_dists(grid, summits)
     trace = [current]
     for _ in range(max_steps):
-        nxt = []
-        for x in range(len(summits)):
-            below = [y for y in range(len(summits)) if current[y] < current[x]]
-            nxt.append(voronoi_mu(x, below, summits, grid))
-        nxt = tuple(nxt)
+        nxt = _evolve_step(sq, np.array(current), grid.cell_area)
         trace.append(nxt)
         if nxt == current:
             return ValuationTrace(tuple(trace), len(trace) - 2)

@@ -37,6 +37,10 @@ class OracleSizeError(AltisetError):
     """Instance exceeds the size cap of an exact oracle."""
 
 
+class NonFiniteError(AltisetError):
+    """A value that must be a finite number is NaN or infinite."""
+
+
 class DegenerateInputError(AltisetError):
     """Input too small or otherwise degenerate for the requested statistic."""
 

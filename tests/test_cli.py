@@ -149,6 +149,49 @@ class TestExitCodes:
             main(["--no-timestamp", "frobnicate"])
         assert err.value.code == EXIT_USAGE
 
+    def test_oversized_relation_is_parse_error(self, tmp_path, capsys):
+        # 10**9 squared bytes cannot be granted, so the allocation fails at once
+        big = tmp_path / "big.json"
+        big.write_text('{"size": 1000000000, "pairs": []}')
+        assert main(["--no-timestamp", "layers", "--relation", str(big)]) == EXIT_IO
+        assert '"size" 1000000000 is too large' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("method", ["oracle", "circular", "contour", "recursive", "records"])
+    def test_non_finite_summit_is_parse_error(self, tmp_path, capsys, method, cell):
+        path = tmp_path / "summits.csv"
+        path.write_text(f"x,h\n1,{cell}\n2,5\n3,7\n")
+        assert main([
+            "--no-timestamp", "skyline", str(path), "--ref", "0", "--method", method,
+        ]) == EXIT_IO
+        assert "line 2: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["nan,1", "1,inf", "-inf,2"])
+    def test_non_finite_point_is_parse_error(self, tmp_path, capsys, row):
+        path = tmp_path / "points.csv"
+        path.write_text(f"x,y\n0,0\n{row}\n3,3\n")
+        assert main(["--no-timestamp", "correlate", str(path)]) == EXIT_IO
+        assert "line 3: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0,0,nan", "0,inf,1", "nan,0,1"])
+    def test_non_finite_evolve_row_is_parse_error(self, tmp_path, capsys, row):
+        path = tmp_path / "evolve.csv"
+        path.write_text(f"x,y,h\n1,0,1\n{row}\n")
+        assert main(["--no-timestamp", "evolve", str(path), "--grid", "8x8"]) == EXIT_IO
+        assert "line 3: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps,message", [
+        ("1", "did not stop within 1 steps"),
+        ("0", "max_steps must be >= 1"),
+    ])
+    def test_evolve_step_limit_is_domain_error(self, capsys, steps, message):
+        # the fixture needs 2 steps to reach its fixed point
+        assert main([
+            "--no-timestamp", "evolve", str(FIXTURES / "evolve.csv"),
+            "--grid", "16x16", "--max-steps", steps,
+        ]) == EXIT_DOMAIN
+        assert message in capsys.readouterr().err
+
     def test_degenerate_correlate_is_domain_error(self, tmp_path, capsys):
         single = tmp_path / "one.csv"
         single.write_text("x,y\n1,1\n")

@@ -1,6 +1,10 @@
-import pytest
+import math
+import random
 
-from altiset.errors import AltisetError, GridError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from altiset.errors import AltisetError, GridError, NonFiniteError
 from altiset.domains import (
     GridMeasure,
     ValuationTrace,
@@ -13,6 +17,31 @@ from altiset.domains import (
 
 def grid(box=4.0, n=32):
     return GridMeasure(-box, box, -box, box, n, n)
+
+
+def evolve_oracle(summits, h0, g, max_steps=1000):
+    """The definitional iteration: one voronoi_mu call per summit per step,
+    excluding exactly the strictly lower summits."""
+    n = len(summits)
+    current = tuple(float(v) for v in h0)
+    trace = [current]
+    for _ in range(max_steps):
+        nxt = tuple(
+            voronoi_mu(x, [y for y in range(n) if current[y] < current[x]], summits, g)
+            for x in range(n)
+        )
+        trace.append(nxt)
+        if nxt == current:
+            return ValuationTrace(tuple(trace), len(trace) - 2)
+        current = nxt
+    raise AssertionError(f"oracle did not stop within {max_steps} steps")
+
+
+def assert_matches_oracle(summits, h0, g):
+    trace = evolve(summits, h0, g)
+    expected = evolve_oracle(summits, h0, g)
+    assert trace.valuations == expected.valuations
+    assert trace.stop_index == expected.stop_index
 
 
 def random_summits(rng, n, span=3):
@@ -33,6 +62,15 @@ class TestGridMeasure:
             GridMeasure(0, 0, 0, 1, 4, 4)
         with pytest.raises(GridError):
             GridMeasure(0, 1, 0, 1, 0, 4)
+
+    @pytest.mark.parametrize("box", [
+        (-math.inf, 1, 0, 1),
+        (0, 1, 0, math.inf),
+        (-1e308, 1e308, 0, 1),  # finite ends, but the side overflows
+    ])
+    def test_infinite_side_rejected(self, box):
+        with pytest.raises(GridError, match="finite"):
+            GridMeasure(*box, 4, 4)
 
     def test_around_inflates(self):
         g = GridMeasure.around([(0, 0), (4, 2)], inflate=0.25, nx=8)
@@ -182,3 +220,65 @@ class TestEvolve:
             summits = random_summits(rng, rng.randint(1, 5))
             total = sum(voronoi_mu(x, [], summits, g) for x in range(len(summits)))
             assert total >= g.box_area - 1e-9
+
+    def test_step_limit_raises(self):
+        # h0 (1, 1, 2) needs two steps: one to move, one to confirm
+        g = GridMeasure(-1.5, 1.5, -0.25, 1.25, 16, 16)
+        summits = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        assert evolve(summits, [1.0, 1.0, 2.0], g).stop_index == 1
+        with pytest.raises(AltisetError, match="did not stop within 1 steps"):
+            evolve(summits, [1.0, 1.0, 2.0], g, max_steps=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_valuation_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="initial valuation"):
+            evolve([(0.0, 0.0), (1.0, 0.0)], [1.0, bad], grid())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_summit_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="coordinates"):
+            evolve([(0.0, 0.0), (bad, 0.0)], [1.0, 2.0], grid())
+
+
+class TestEvolveMatchesOracle:
+    """The running-minimum evolve against one voronoi_mu call per summit."""
+
+    @pytest.mark.parametrize("nx,ny", [(16, 16), (24, 16), (32, 32)])
+    def test_tie_heavy_fields(self, nx, ny):
+        rng = random.Random(nx * 100 + ny)
+        for n in (1, 2, 5, 13, 30, 60):
+            span = max(2, n // 6)  # a small lattice, so some summits coincide
+            summits = tuple(
+                (float(rng.randint(-span, span)), float(rng.randint(-span, span)))
+                for _ in range(n)
+            )
+            h0 = [float(rng.randint(0, 3)) for _ in range(n)]
+            assert_matches_oracle(summits, h0, GridMeasure.around(summits, nx=nx, ny=ny))
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_all_equal_start(self, n):
+        rng = random.Random(n)
+        summits = tuple((rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n))
+        assert_matches_oracle(summits, [1.0] * n, GridMeasure.around(summits, nx=24, ny=16))
+
+    def test_duplicate_summits(self):
+        rng = random.Random(3)
+        base = [(float(rng.randint(-3, 3)), float(rng.randint(-3, 3))) for _ in range(8)]
+        summits = tuple(base + base[:5] + base[:2])
+        h0 = [float(rng.randint(0, 2)) for _ in summits]
+        assert_matches_oracle(summits, h0, GridMeasure.around(summits, nx=16, ny=16))
+        assert_matches_oracle(summits, [0.0] * len(summits), GridMeasure.around(summits, nx=16))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 3)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([(8, 8), (16, 8), (12, 12)]),
+    )
+    def test_property(self, rows, shape):
+        summits = tuple((float(x), float(y)) for x, y, _ in rows)
+        h0 = [float(h) for _, _, h in rows]
+        assert_matches_oracle(summits, h0, GridMeasure.around(summits, nx=shape[0], ny=shape[1]))
