@@ -25,7 +25,6 @@ from .dependence import (
 from .domains import DEFAULT_INFLATE, DEFAULT_RESOLUTION, GridMeasure, evolve
 from .errors import AltisetError, ParseError
 from .geoalt import (
-    DISTANCE_TOLERANCE,
     EUCLIDEAN_2D,
     REAL_LINE,
     geo_altiset_oracle,
@@ -203,7 +202,7 @@ def _run_skyline(args, digest, text):
         chosen = geo_altiset_oracle(field)
     settings = {
         "block_size": args.block_size if args.method == "recursive" else None,
-        "distance_tolerance": DISTANCE_TOLERANCE,
+        "distance_ties": "exact",
         "method": args.method,
         "reference": list(ref),
     }

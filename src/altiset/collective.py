@@ -4,18 +4,20 @@ Subsets are compared by their cumulative counts above each valuation
 threshold; a subset dominates when it is at least as good at every
 threshold and strictly better at one.  The threshold-count key vectors
 make the dominance relation a system of linearly induced orders, so the
-significant members can be found by the quotient machinery or by a simple
-pairwise elimination pass.
+significant members are the Pareto maxima of the (members x thresholds)
+profile matrix; a simple pairwise elimination pass is a second route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import DimensionError, SubsetIndexError
-from .orders import GAIN, KeyedOrder, OrderSystem, altiset_of_system
-from .relation import Universe
+import numpy as np
+
+from .errors import DimensionError, NonFiniteError, SubsetIndexError
+from .orders import maxima
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,9 @@ class ValuedGroundSet:
         missing = [e for e in self.elements if e not in self.valuation]
         if missing:
             raise DimensionError(f"valuation missing for {missing}")
+        bad = [e for e in self.elements if not math.isfinite(self.valuation[e])]
+        if bad:
+            raise NonFiniteError(f"valuation of {bad[0]!r} must be finite")
 
     def thresholds(self) -> list[float]:
         """Distinct valuation values, descending."""
@@ -75,21 +80,13 @@ def rh_dominates(m: Iterable, n: Iterable, ground: ValuedGroundSet) -> bool:
     return any(a < b for a, b in zip(pm, pn))
 
 
-def _profile_system(family: SubsetFamily) -> OrderSystem:
-    universe = Universe(len(family.members))
-    profiles = [threshold_profile(m, family.ground) for m in family.members]
-    width = len(family.ground.thresholds())
-    orders = tuple(
-        KeyedOrder(tuple(p[t] for p in profiles), GAIN) for t in range(width)
-    )
-    if not orders:  # empty ground set: all profiles empty, everything ties
-        orders = (KeyedOrder((0,) * len(family.members), GAIN),)
-    return OrderSystem(universe, orders)
-
-
 def collective_altiset(family: SubsetFamily) -> frozenset[int]:
-    """Indices of significant members, via the induced-order quotient."""
-    return altiset_of_system(_profile_system(family))
+    """Indices of significant members: the Pareto maxima of their threshold
+    profiles."""
+    profiles = [threshold_profile(m, family.ground) for m in family.members]
+    # an empty ground set gives (members, 0) profiles: everything ties
+    keys = np.array(profiles, dtype=np.int64)
+    return frozenset(np.flatnonzero(maxima(keys)).tolist())
 
 
 def pairwise_elimination(family: SubsetFamily) -> frozenset[int]:

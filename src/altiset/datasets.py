@@ -40,6 +40,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite_number(v) -> bool:
+    """A JSON number: not a boolean, and not NaN or an infinity (which
+    json.loads reads from NaN, Infinity and -Infinity)."""
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
 def _index_pairs(pairs: list, size: int) -> Union[np.ndarray, list]:
     """The pairs checked against size, as an (m, 2) integer array when
     every index fits in int64.
@@ -101,7 +107,7 @@ def emit_relation(rel: FiniteRelation) -> str:
 def parse_order_system(text: str) -> OrderSystem:
     doc = _load_json(text)
     size = doc.get("size")
-    if not isinstance(size, int) or size < 0:
+    if not _is_int(size) or size < 0:
         raise ParseError('"size" must be a non-negative integer')
     orders = doc.get("orders")
     if not isinstance(orders, list) or not orders:
@@ -111,10 +117,8 @@ def parse_order_system(text: str) -> OrderSystem:
         if not isinstance(o, dict):
             raise ParseError(f'"orders"[{k}] must be an object')
         keys = o.get("keys")
-        if not isinstance(keys, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in keys
-        ):
-            raise ParseError(f'"orders"[{k}].keys must be a list of numbers')
+        if not isinstance(keys, list) or not all(map(_is_finite_number, keys)):
+            raise ParseError(f'"orders"[{k}].keys must be a list of finite numbers')
         if len(keys) != size:
             raise ParseError(f'"orders"[{k}].keys has {len(keys)} entries for size {size}')
         direction = o.get("direction", "gain")
@@ -238,8 +242,8 @@ def parse_family(text: str) -> SubsetFamily:
     for e in elements:
         if e not in h:
             raise ParseError(f'"h" is missing element {e!r}')
-        if not isinstance(h[e], (int, float)) or isinstance(h[e], bool):
-            raise ParseError(f'"h"[{e!r}] must be a number')
+        if not _is_finite_number(h[e]):
+            raise ParseError(f'"h"[{e!r}] must be a finite number')
     family = doc.get("family")
     if not isinstance(family, list) or not family:
         raise ParseError('"family" must be a nonempty list of element lists')

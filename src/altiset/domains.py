@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AltisetError, DimensionError, GridError, NonFiniteError
+from .geoalt import EUCLIDEAN_2D, SummitField, geo_altiset_oracle
 
 DEFAULT_RESOLUTION = 128
 DEFAULT_INFLATE = 0.25
@@ -103,21 +104,14 @@ def inverse_altiset_member(
     a: int,
     x: tuple[float, float],
 ) -> bool:
-    """Is summit a significant when the reference point sits at x?"""
+    """Is summit a significant when the reference point sits at x?
+
+    Read off the skyline of the field referenced at x, so ties follow the
+    same exact squared-distance rule as `inverse_altiset_mask`.
+    """
     if not (0 <= a < len(summits)):
         raise IndexError(f"summit index {a} out of range")
-    if len(altitudes) != len(summits):
-        raise DimensionError("altitudes and summits differ in length")
-    da = (summits[a][0] - x[0]) ** 2 + (summits[a][1] - x[1]) ** 2
-    ha = altitudes[a]
-    for b in range(len(summits)):
-        if b == a:
-            continue
-        db = (summits[b][0] - x[0]) ** 2 + (summits[b][1] - x[1]) ** 2
-        hb = altitudes[b]
-        if hb >= ha and db <= da and (hb > ha or db < da):
-            return False
-    return True
+    return a in geo_altiset_oracle(SummitField(EUCLIDEAN_2D, summits, altitudes, x))
 
 
 def inverse_altiset_mask(

@@ -1,27 +1,30 @@
 """Geometric altisets: summits that are simultaneously high and close.
 
 A summit is significant for a reference point when no other summit is at
-least as high and at least as near with one of the two strict.  Three
-computation routes (distance sweep, altitude sweep, block recursion) must
-agree with the definitional pairwise oracle.
+least as high and at least as near with one of the two strict.  Nearness
+is one float per summit, compared exactly: the squared distance
+(x - rx)**2 + (y - ry)**2 in the plane and |s - ref| on the real line, so
+ties are transitive and every route sees the same ones.  The oracle is the
+Pareto-maxima kernel on (altitude, -distance); the distance sweep, the
+altitude sweep and the block recursion must agree with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import DimensionError, SpaceKindError, SubsetIndexError
+import numpy as np
+
+from .errors import DimensionError, NonFiniteError, SpaceKindError
+from .orders import maxima
 
 EUCLIDEAN_2D = "euclidean-2d"
 REAL_LINE = "real-line"
 REAL_LINE_LEFT = "real-line-left-restricted"
 
 _SPACES = (EUCLIDEAN_2D, REAL_LINE, REAL_LINE_LEFT)
-
-# absolute tolerance for distance ties on non-exact (float) coordinates
-DISTANCE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,68 +47,58 @@ class SummitField:
             ref = float(self.reference)
             if self.space == REAL_LINE_LEFT and any(s > ref for s in summits):
                 raise SpaceKindError("left-restricted space requires summits <= reference")
-        if len(self.altitudes) != len(summits):
-            raise DimensionError(
-                f"{len(self.altitudes)} altitudes for {len(summits)} summits"
-            )
+        altitudes = tuple(float(h) for h in self.altitudes)
+        if len(altitudes) != len(summits):
+            raise DimensionError(f"{len(altitudes)} altitudes for {len(summits)} summits")
         object.__setattr__(self, "space", self.space)
         object.__setattr__(self, "summits", summits)
-        object.__setattr__(self, "altitudes", tuple(float(h) for h in self.altitudes))
+        object.__setattr__(self, "altitudes", altitudes)
         object.__setattr__(self, "reference", ref)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nearness = self.distance_keys()
+        # maxima sorts on these values, so they need a total order; a distance
+        # that overflows to inf would tie its summits
+        if not np.isfinite(np.concatenate([altitudes, np.ravel(ref), nearness])).all():
+            raise NonFiniteError("altitudes, the reference and the distances to it must be finite")
 
     def __len__(self) -> int:
         return len(self.summits)
 
-    def distances(self) -> list[float]:
+    def distance_keys(self) -> np.ndarray:
+        """Nearness to the reference, one float per summit, compared exactly:
+        (x - rx)**2 + (y - ry)**2 in the plane, |s - ref| on the real line."""
+        s = np.array(self.summits, dtype=float)
         if self.space == EUCLIDEAN_2D:
             rx, ry = self.reference
-            return [math.hypot(x - rx, y - ry) for x, y in self.summits]
-        return [abs(s - self.reference) for s in self.summits]
+            s = s.reshape(-1, 2)
+            return (s[:, 0] - rx) ** 2 + (s[:, 1] - ry) ** 2
+        return np.abs(s - self.reference)
 
 
-def _dist_le(a: float, b: float) -> bool:
-    return a <= b + DISTANCE_TOLERANCE
-
-
-def _dist_eq(a: float, b: float) -> bool:
-    return abs(a - b) <= DISTANCE_TOLERANCE
+def _keys(field: SummitField) -> np.ndarray:
+    """(summits, 2) key matrix, larger better: altitude and -distance key."""
+    return np.column_stack([np.array(field.altitudes, dtype=float), -field.distance_keys()])
 
 
 def geo_altiset_oracle(field: SummitField) -> frozenset[int]:
-    """Definitional pairwise check: excluded iff some summit is at least as
-    high and at least as close, with one of the comparisons strict."""
-    h = field.altitudes
-    d = field.distances()
-    out = set()
-    for a in range(len(field)):
-        dominated = False
-        for b in range(len(field)):
-            if b == a:
-                continue
-            if h[b] >= h[a] and _dist_le(d[b], d[a]) and (
-                h[b] > h[a] or (_dist_le(d[b], d[a]) and not _dist_eq(d[b], d[a]))
-            ):
-                dominated = True
-                break
-        if not dominated:
-            out.add(a)
-    return frozenset(out)
+    """Summits that no other summit dominates: at least as high and at
+    least as close, with one of the comparisons strict."""
+    return frozenset(np.flatnonzero(maxima(_keys(field))).tolist())
 
 
 def skyline_circular(field: SummitField) -> frozenset[int]:
     """Distance sweep: walk distance groups outward-in reversed — nearest
     first — keeping the best altitude seen strictly nearer."""
-    d = field.distances()
+    d = field.distance_keys().tolist()
     h = field.altitudes
     order = sorted(range(len(field)), key=lambda i: d[i])
     out: set[int] = set()
     best = -math.inf
     i = 0
     while i < len(order):
-        # group of (tolerance-)equal distances
         group = [order[i]]
         j = i + 1
-        while j < len(order) and _dist_eq(d[order[j]], d[group[0]]):
+        while j < len(order) and d[order[j]] == d[group[0]]:
             group.append(order[j])
             j += 1
         group_max = max(h[g] for g in group)
@@ -119,7 +112,7 @@ def skyline_circular(field: SummitField) -> frozenset[int]:
 def skyline_contour(field: SummitField) -> frozenset[int]:
     """Altitude sweep: walk altitude groups top-down keeping the smallest
     distance among strictly higher summits."""
-    d = field.distances()
+    d = field.distance_keys().tolist()
     h = field.altitudes
     order = sorted(range(len(field)), key=lambda i: -h[i])
     out: set[int] = set()
@@ -132,20 +125,11 @@ def skyline_contour(field: SummitField) -> frozenset[int]:
             group.append(order[j])
             j += 1
         group_min = min(d[g] for g in group)
-        if not _dist_le(best, group_min):  # group_min strictly below best
-            out.update(g for g in group if _dist_eq(d[g], group_min))
+        if group_min < best:
+            out.update(g for g in group if d[g] == group_min)
             best = group_min
         i = j
     return frozenset(out)
-
-
-def _subfield(field: SummitField, indices: Sequence[int]) -> SummitField:
-    return SummitField(
-        field.space,
-        tuple(field.summits[i] for i in indices),
-        tuple(field.altitudes[i] for i in indices),
-        field.reference,
-    )
 
 
 def skyline_recursive(field: SummitField, block_size: int) -> frozenset[int]:
@@ -156,18 +140,15 @@ def skyline_recursive(field: SummitField, block_size: int) -> frozenset[int]:
     """
     if block_size < 1:
         raise DimensionError(f"block size must be >= 1, got {block_size}")
-    current = list(range(len(field)))
+    keys = _keys(field)
+    current = np.arange(len(field))
     while len(current) > block_size:
-        survivors: list[int] = []
-        for start in range(0, len(current), block_size):
-            block = current[start : start + block_size]
-            local = geo_altiset_oracle(_subfield(field, block))
-            survivors.extend(block[i] for i in sorted(local))
+        blocks = [current[s : s + block_size] for s in range(0, len(current), block_size)]
+        survivors = np.concatenate([b[maxima(keys[b])] for b in blocks])
         if len(survivors) == len(current):
             break
         current = survivors
-    final = geo_altiset_oracle(_subfield(field, current))
-    return frozenset(current[i] for i in final)
+    return frozenset(current[maxima(keys[current])].tolist())
 
 
 def record_events(times: Sequence[float], altitudes: Sequence[float]) -> frozenset[int]:
@@ -175,23 +156,8 @@ def record_events(times: Sequence[float], altitudes: Sequence[float]) -> frozens
     event is at least as high with time or altitude strict."""
     if len(times) != len(altitudes):
         raise DimensionError(f"{len(times)} times for {len(altitudes)} altitudes")
-    out = set()
-    n = len(times)
-    for a in range(n):
-        dominated = False
-        for b in range(n):
-            if b == a:
-                continue
-            if (
-                altitudes[b] >= altitudes[a]
-                and times[b] <= times[a]
-                and (altitudes[b] > altitudes[a] or times[b] < times[a])
-            ):
-                dominated = True
-                break
-        if not dominated:
-            out.add(a)
-    return frozenset(out)
+    keys = np.column_stack([np.array(altitudes, dtype=float), -np.array(times, dtype=float)])
+    return frozenset(np.flatnonzero(maxima(keys)).tolist())
 
 
 def record_events_field(field: SummitField) -> frozenset[int]:

@@ -1,24 +1,67 @@
-"""Systems of linearly induced orders.
+"""Systems of linearly induced orders and the Pareto-maxima kernel.
 
 Each order is given by a key vector and a direction: "gain" (larger key is
 better) or "price" (smaller is better).  A gain order contributes the
 reflexive order <=_f, a price order its inverse.  The quotient by
 indistinguishability carries a strict characteristic order whose maxima are
-exactly the significant classes.
+exactly the significant classes.  So the altiset of a system is the set of
+Pareto maxima of its key columns, and `maxima` computes it for order
+systems, collective comparison, geographic skylines and record events.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, PartitionError
-from .relation import FiniteRelation, Universe, union
+from .errors import DimensionError, NonFiniteError, PartitionError
+from .relation import FiniteRelation, Universe, key_array, union
 
 GAIN = "gain"
 PRICE = "price"
+
+# rows `maxima` filters per pass; its temporaries hold block x maxima booleans
+_BLOCK = 256
+
+
+def maxima(keys) -> np.ndarray:
+    """Boolean mask of the rows of an (n, k) array that no other row dominates.
+
+    Larger is better in every column.  A row dominates another when it is
+    >= in every column and > in one, so equal rows never dominate each
+    other and with k = 0 every row is kept.  The rows are sorted in
+    descending lexicographic order, which puts every dominator before the
+    rows it dominates (Kung, Luccio and Preparata, JACM 1975).  Then each
+    block of sorted rows is compared, column by column, with the maxima
+    found so far and with itself; no (n, n) matrix is built.  NaN keys
+    raise NonFiniteError, because the sort needs a total order.
+    """
+    keys = np.asarray(keys)
+    n, k = keys.shape
+    if keys.dtype.kind == "f" and np.isnan(keys).any():
+        raise NonFiniteError("keys must not be NaN")
+    if n == 0 or k == 0:
+        return np.ones(n, dtype=bool)
+    order = np.lexsort(keys.T[::-1])[::-1]
+    ranked = keys[order]
+    kept = np.empty(0, dtype=np.intp)  # positions in ranked of the maxima so far
+    for start in range(0, n, _BLOCK):
+        block = ranked[start : start + _BLOCK]
+        rivals = np.concatenate([ranked[kept], block])
+        geq = np.ones((len(block), len(rivals)), dtype=bool)
+        same = geq.copy()
+        for c in range(k):
+            theirs, mine = rivals[None, :, c], block[:, c, None]
+            geq &= theirs >= mine
+            same &= theirs == mine
+        dominated = (geq & ~same).any(axis=1)
+        kept = np.concatenate([kept, start + np.flatnonzero(~dominated)])
+    mask = np.zeros(n, dtype=bool)
+    mask[order[kept]] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -32,6 +75,10 @@ class KeyedOrder:
         object.__setattr__(self, "keys", tuple(self.keys))
         if self.direction not in (GAIN, PRICE):
             raise DimensionError(f"direction must be gain|price, got {self.direction!r}")
+        # NaN would break the order; maxima sorts the keys
+        bad = [v for v in self.keys if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise NonFiniteError(f"keys must be finite, got {bad[0]}")
 
     def relation(self, universe: Universe) -> FiniteRelation:
         """The order this entry contributes: strict induced order + diagonal.
@@ -39,21 +86,9 @@ class KeyedOrder:
         Equal-keyed distinct elements are incomparable, not mutually
         related; that keeps the order antisymmetric.
         """
-        if len(self.keys) != universe.size:
-            raise DimensionError(
-                f"{len(self.keys)} keys for universe of size {universe.size}"
-            )
-        n = universe.size
-        adj = np.zeros((n, n), dtype=bool)
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    adj[a, b] = True
-                elif self.direction == GAIN:
-                    adj[a, b] = self.keys[a] < self.keys[b]
-                else:
-                    adj[a, b] = self.keys[a] > self.keys[b]
-        return FiniteRelation(universe, adj)
+        less = FiniteRelation.induce(universe, self.keys).adjacency
+        adj = less if self.direction == GAIN else less.T
+        return FiniteRelation(universe, adj | np.eye(universe.size, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -105,45 +140,42 @@ def indistinguishability(system: OrderSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
-def _restricted(system: OrderSystem, subset: Iterable[int]) -> tuple[OrderSystem, tuple[int, ...]]:
-    idx = system.universe.check_subset(subset)
-    sub = Universe(len(idx))
-    orders = tuple(
-        KeyedOrder(tuple(o.keys[i] for i in idx), o.direction) for o in system.orders
-    )
-    return OrderSystem(sub, orders), idx
-
-
 def quotient(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> QuotientView:
-    """Indistinguishability classes + strict characteristic order + maxima."""
-    if subset is not None:
-        restricted, idx = _restricted(system, subset)
-        view = quotient(restricted)
-        classes = tuple(tuple(idx[i] for i in cls) for cls in view.classes)
-        return QuotientView(classes, view.class_order, view.maximal_classes)
-
+    """Indistinguishability classes + strict characteristic order + maxima,
+    over the subset (default: the whole universe)."""
     classes = indistinguishability(system)
-    k = len(classes)
-    rel = system_union(system)
-    adj = np.zeros((k, k), dtype=bool)
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            adj[i, j] = bool(rel.adjacency[ci[0], cj[0]])
-    class_rel = FiniteRelation(Universe(k), adj)
-    class_order = class_rel.asym_interior()
-    maximal = frozenset(
-        i for i in range(k) if not class_order.adjacency[i, :].any()
+    if subset is not None:
+        keep = set(system.universe.check_subset(subset))
+        kept = (tuple(a for a in c if a in keep) for c in classes)
+        classes = tuple(sorted((c for c in kept if c), key=lambda c: c[0]))
+    reps = [c[0] for c in classes]
+    class_rel = FiniteRelation(
+        Universe(len(classes)), system_union(system).adjacency[np.ix_(reps, reps)]
     )
+    class_order = class_rel.asym_interior()
+    maximal = frozenset(np.flatnonzero(~class_order.adjacency.any(axis=1)).tolist())
     return QuotientView(classes, class_order, maximal)
 
 
+def _ranks(system: OrderSystem) -> np.ndarray:
+    """(elements, orders) dense ranks of the keys, larger better: each key
+    column ranked in the order `FiniteRelation.induce` compares it,
+    negated for a price order."""
+    cols = []
+    for o in system.orders:
+        rank = np.unique(key_array(o.keys), return_inverse=True)[1]
+        cols.append(rank if o.direction == GAIN else -rank)
+    return np.column_stack(cols)
+
+
 def altiset_of_system(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> frozenset[int]:
-    """Union of the maximal indistinguishability classes."""
-    view = quotient(system, subset)
-    out: set[int] = set()
-    for i in view.maximal_classes:
-        out.update(view.classes[i])
-    return frozenset(out)
+    """Union of the maximal indistinguishability classes: the Pareto maxima
+    of the key ranks over the subset (default: the whole universe)."""
+    if subset is None:
+        idx = np.arange(system.universe.size)
+    else:
+        idx = np.array(system.universe.check_subset(subset), dtype=np.intp)
+    return frozenset(idx[maxima(_ranks(system)[idx])].tolist())
 
 
 def decompose_altiset(system: OrderSystem, blocks: Sequence[Iterable[int]]) -> frozenset[int]:

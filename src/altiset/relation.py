@@ -94,18 +94,13 @@ class FiniteRelation:
 
     @classmethod
     def induce(cls, universe: Universe, keys: Sequence, strict: bool = True) -> "FiniteRelation":
-        """Pull a (strict) linear order back along a key function.
-
-        Numeric keys are compared as one numpy array (a mix of integers and
-        floats as float64); other keys as Python objects.
-        """
+        """Pull a (strict) linear order back along a key function; the keys
+        compare as `key_array` holds them."""
         if len(keys) != universe.size:
             raise DimensionError(
                 f"{len(keys)} keys for universe of size {universe.size}"
             )
-        k = np.asarray(keys)
-        if k.ndim != 1 or k.dtype.kind not in "biuf":
-            k = np.fromiter(keys, dtype=object, count=len(keys))
+        k = key_array(keys)
         adj = k[:, None] < k[None, :] if strict else k[:, None] <= k[None, :]
         return cls(universe, adj)
 
@@ -226,6 +221,16 @@ class FiniteRelation:
         sub_universe = Universe(len(idx), labels)
         adj = self.adjacency[np.ix_(ids, ids)] if idx else np.zeros((0, 0), bool)
         return FiniteRelation(sub_universe, adj), idx
+
+
+def key_array(keys: Sequence) -> np.ndarray:
+    """Keys as one 1-D array in the comparison `FiniteRelation.induce` uses:
+    numeric keys as numbers (a mix of integers and floats as float64),
+    others as Python objects."""
+    k = np.asarray(keys)
+    if k.ndim != 1 or k.dtype.kind not in "biuf":
+        k = np.fromiter(keys, dtype=object, count=len(keys))
+    return k
 
 
 def union(relations: Sequence[FiniteRelation]) -> FiniteRelation:

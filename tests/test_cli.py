@@ -166,6 +166,15 @@ class TestExitCodes:
         ]) == EXIT_IO
         assert "line 2: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_valuation_is_parse_error(self, tmp_path, capsys, value):
+        path = tmp_path / "family.json"
+        path.write_text(
+            f'{{"elements": ["a", "b"], "h": {{"a": {value}, "b": 1}}, "family": [["a"], ["b"]]}}'
+        )
+        assert main(["--no-timestamp", "collective", str(path)]) == EXIT_IO
+        assert """'a'] must be a finite number""" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["nan,1", "1,inf", "-inf,2"])
     def test_non_finite_point_is_parse_error(self, tmp_path, capsys, row):
         path = tmp_path / "points.csv"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -11,7 +12,7 @@ from altiset.collective import (
     rh_dominates,
     threshold_profile,
 )
-from altiset.errors import SubsetIndexError
+from altiset.errors import NonFiniteError, SubsetIndexError
 
 from conftest import random_family
 
@@ -108,3 +109,24 @@ class TestCollectiveAltiset:
                 family.ground, family.members + (family.members[pick],)
             )
             assert collective_altiset(extended) == chosen | {len(family.members)}
+
+    def test_empty_ground_set_keeps_every_member(self):
+        # no thresholds: every profile is the empty tuple and all members tie
+        family = SubsetFamily(ValuedGroundSet((), {}), (frozenset(), frozenset()))
+        assert collective_altiset(family) == collective_altiset_bruteforce(family) == {0, 1}
+
+    def test_matches_pairwise_elimination_at_scale(self, rng):
+        elements = tuple(f"e{i}" for i in range(40))
+        g = ValuedGroundSet(elements, {e: float(rng.randint(0, 9)) for e in elements})
+        members = tuple(
+            frozenset(e for e in elements if rng.random() < 0.5) for _ in range(300)
+        )
+        family = SubsetFamily(g, members)
+        assert collective_altiset(family) == pairwise_elimination(family)
+
+
+class TestValuedGroundSet:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_valuation(self, bad):
+        with pytest.raises(NonFiniteError):
+            ValuedGroundSet(("a", "b"), {"a": 1.0, "b": bad})

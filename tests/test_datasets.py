@@ -91,6 +91,15 @@ class TestOrderSystemFormat:
         with pytest.raises(ParseError, match="entries"):
             datasets.parse_order_system('{"size": 2, "orders": [{"keys": [1]}]}')
 
+    def test_boolean_size_is_not_an_integer(self):
+        with pytest.raises(ParseError, match='"size"'):
+            datasets.parse_order_system('{"size": true, "orders": [{"keys": [1]}]}')
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_key(self, value):
+        with pytest.raises(ParseError, match="finite numbers"):
+            datasets.parse_order_system(f'{{"size": 2, "orders": [{{"keys": [1, {value}]}}]}}')
+
 
 class TestPointsCsv:
     def test_parse_with_header(self):

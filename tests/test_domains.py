@@ -9,6 +9,7 @@ from altiset.domains import (
     GridMeasure,
     ValuationTrace,
     evolve,
+    inverse_altiset_mask,
     inverse_altiset_measure,
     inverse_altiset_member,
     voronoi_mu,
@@ -99,16 +100,19 @@ class TestInverseAltiset:
         assert not inverse_altiset_member(summits, [1.0, 5.0], 0, (0.0, 0.0))
 
     def test_matches_pointwise_oracle(self, rng):
-        from altiset.geoalt import EUCLIDEAN_2D, SummitField, geo_altiset_oracle
-
-        for _ in range(100):
+        # integer summits and half-integer centers: exact distance ties occur
+        g = grid(n=8)
+        gx, gy = g.centers()
+        for _ in range(30):
             summits = random_summits(rng, rng.randint(1, 5))
-            alts = [float(rng.randint(0, 4)) for _ in summits]
-            x = (rng.uniform(-4, 4), rng.uniform(-4, 4))
-            field = SummitField(EUCLIDEAN_2D, summits, alts, x)
-            chosen = geo_altiset_oracle(field)
+            alts = [float(rng.randint(0, 2)) for _ in summits]
             for a in range(len(summits)):
-                assert inverse_altiset_member(summits, alts, a, x) == (a in chosen)
+                mask = inverse_altiset_mask(summits, alts, a, g)
+                members = [
+                    inverse_altiset_member(summits, alts, a, (x, y))
+                    for x, y in zip(gx.tolist(), gy.tolist())
+                ]
+                assert members == mask.tolist()
 
     def test_single_summit_measures_full_box(self):
         g = grid()

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from altiset.errors import DimensionError, SpaceKindError
+from altiset.domains import inverse_altiset_member
+from altiset.errors import DimensionError, NonFiniteError, SpaceKindError
 from altiset.geoalt import (
     EUCLIDEAN_2D,
     REAL_LINE,
@@ -16,7 +18,100 @@ from altiset.geoalt import (
     skyline_recursive,
 )
 
+from altiset.orders import GAIN, PRICE, KeyedOrder, OrderSystem, system_union
+from altiset.relation import Universe, altiset_bruteforce
+
 from conftest import random_field
+
+
+def definitional(altitudes, nearness) -> frozenset:
+    """Altiset of the union of the altitude (gain) and nearness (price) orders."""
+    orders = (KeyedOrder(tuple(altitudes), GAIN), KeyedOrder(tuple(nearness), PRICE))
+    return altiset_bruteforce(system_union(OrderSystem(Universe(len(altitudes)), orders)))
+
+
+def field_altiset(f: SummitField) -> frozenset:
+    """The definitional altiset under the exact tie rule, nearness computed
+    here: the squared distance in the plane, |s - ref| on the real line."""
+    if f.space == EUCLIDEAN_2D:
+        rx, ry = f.reference
+        nearness = [(x - rx) ** 2 + (y - ry) ** 2 for x, y in f.summits]
+    else:
+        nearness = [abs(s - f.reference) for s in f.summits]
+    return definitional(f.altitudes, nearness)
+
+
+def assert_every_route(f: SummitField) -> None:
+    expected = field_altiset(f)
+    assert geo_altiset_oracle(f) == expected
+    assert skyline_circular(f) == expected
+    assert skyline_contour(f) == expected
+    for block_size in range(1, len(f) + 2):
+        assert skyline_recursive(f, block_size) == expected
+    if f.space == EUCLIDEAN_2D:
+        for a in range(len(f)):
+            assert inverse_altiset_member(f.summits, f.altitudes, a, f.reference) == (a in expected)
+
+
+# near-ties 0.6e-9 apart (inside the old 1e-9 tolerance) and repeated values
+NEAR = st.sampled_from([-1.0, 0.0, 1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9, 2.0])
+HEIGHT = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def tie_fields(draw):
+    n = draw(st.integers(0, 9))
+    altitudes = draw(st.lists(HEIGHT, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        summits = draw(st.lists(st.tuples(NEAR, NEAR), min_size=n, max_size=n))
+        return SummitField(EUCLIDEAN_2D, summits, altitudes, draw(st.tuples(NEAR, NEAR)))
+    summits = draw(st.lists(NEAR, min_size=n, max_size=n))
+    return SummitField(REAL_LINE, summits, altitudes, draw(NEAR))
+
+
+class TestExactTies:
+    def test_near_tie_reproducer(self):
+        # 0.6e-9 apart: a 1e-9 tolerance tied 0~1 and 1~2 but not 0~2
+        f = line_field([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9], [1.0, 2.0, 3.0])
+        assert field_altiset(f) == {0, 1, 2}
+        assert_every_route(f)
+        assert record_events(f.summits, f.altitudes) == {0, 1, 2}
+        planar = SummitField(EUCLIDEAN_2D, [(s, 0.0) for s in f.summits], f.altitudes, (0.0, 0.0))
+        assert_every_route(planar)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_fields())
+    def test_every_route_matches_definitional_altiset(self, f):
+        assert_every_route(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(NEAR, HEIGHT), max_size=10))
+    def test_records_match_definitional_altiset(self, events):
+        times = [t for t, _ in events]
+        alts = [h for _, h in events]
+        assert record_events(times, alts) == definitional(alts, times)
+
+    @pytest.mark.parametrize("summits,altitudes,ref", [
+        ([(0.0, math.nan)], [1.0], (0.0, 0.0)),
+        ([(0.0, 0.0)], [math.inf], (0.0, 0.0)),
+        ([(0.0, 0.0)], [1.0], (-math.inf, 0.0)),
+    ])
+    def test_non_finite_field_is_rejected(self, summits, altitudes, ref):
+        with pytest.raises(NonFiniteError):
+            SummitField(EUCLIDEAN_2D, summits, altitudes, ref)
+        with pytest.raises(NonFiniteError):
+            SummitField(REAL_LINE, [s[1] for s in summits], altitudes, ref[0])
+
+    def test_overflowing_distance_is_rejected(self):
+        # the squared distances would both be inf, a false tie
+        with pytest.raises(NonFiniteError, match="distances to it must be finite"):
+            SummitField(EUCLIDEAN_2D, [(1e200, 0.0), (2e200, 0.0)], [1.0, 1.0], (0.0, 0.0))
+        with pytest.raises(NonFiniteError, match="distances to it must be finite"):
+            line_field([1e308], [1.0], ref=-1e308)
+
+    def test_nan_event_is_rejected(self):
+        with pytest.raises(NonFiniteError):
+            record_events([1.0, math.nan], [1.0, 2.0])
 
 
 def line_field(positions, altitudes, ref=0.0):
@@ -55,7 +150,7 @@ class TestOracle:
     def test_overcharge(self, rng):
         for _ in range(50):
             f = random_field(rng, rng.randint(1, 30))
-            d = f.distances()
+            d = f.distance_keys()
             h = f.altitudes
             chosen = geo_altiset_oracle(f)
             assert chosen

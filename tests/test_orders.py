@@ -1,8 +1,13 @@
 import itertools
+import math
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from altiset.errors import PartitionError
+from altiset.errors import NonFiniteError, PartitionError
 from altiset.orders import (
     GAIN,
     PRICE,
@@ -12,6 +17,7 @@ from altiset.orders import (
     check_form_equivalences,
     decompose_altiset,
     indistinguishability,
+    maxima,
     quotient,
     system_union,
 )
@@ -22,6 +28,105 @@ from conftest import random_system
 
 def system(size, *orders):
     return OrderSystem(Universe(size), tuple(KeyedOrder(k, d) for k, d in orders))
+
+
+def pareto_system(keys, directions) -> OrderSystem:
+    """The order system whose altiset is the Pareto maxima of the columns."""
+    return OrderSystem(
+        Universe(len(keys)),
+        tuple(KeyedOrder(tuple(r[c] for r in keys), d) for c, d in enumerate(directions)),
+    )
+
+
+# few distinct values, signed zeros and near-equal floats, so rows tie often
+TIE_VALUES = st.sampled_from([-2.0, -0.0, 0.0, 1.0, 1.0 + 2**-52, 3.0])
+
+
+@st.composite
+def key_matrices(draw):
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(1, 4))
+    values = st.one_of(st.integers(0, 3), TIE_VALUES) if draw(st.booleans()) else st.integers(0, 2)
+    rows = draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=n, max_size=n))
+    directions = draw(st.lists(st.sampled_from([GAIN, PRICE]), min_size=k, max_size=k))
+    return rows, directions
+
+
+class TestMaxima:
+    @settings(max_examples=300, deadline=None)
+    @given(key_matrices())
+    def test_matches_definitional_altiset(self, case):
+        rows, directions = case
+        system = pareto_system(rows, directions)
+        expected = altiset_bruteforce(system_union(system))
+        signs = [1 if d == GAIN else -1 for d in directions]
+        signed = np.array([[s * v for s, v in zip(signs, r)] for r in rows], dtype=float)
+        got = maxima(signed.reshape(len(rows), len(directions)))
+        assert set(np.flatnonzero(got).tolist()) == expected
+        assert altiset_of_system(system) == expected
+
+    @pytest.mark.parametrize("shape,expected", [
+        ((0, 2), []),
+        ((1, 3), [True]),
+        ((3, 0), [True, True, True]),
+        ((0, 0), []),
+    ])
+    def test_degenerate_shapes(self, shape, expected):
+        assert maxima(np.zeros(shape)).tolist() == expected
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(NonFiniteError):
+            maxima(np.array([[1.0, math.nan], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n,orders,span", [
+        (300, 3, 20),   # tie-heavy, few maxima
+        (400, 2, 400),  # two random columns
+        (600, 5, 4),    # many duplicate rows
+    ])
+    def test_matches_relation_altiset_at_scale(self, n, orders, span):
+        rng = random.Random(n)
+        keys = [[rng.randint(0, span) for _ in range(orders)] for _ in range(n)]
+        system = pareto_system(keys, [rng.choice([GAIN, PRICE]) for _ in range(orders)])
+        assert altiset_of_system(system) == system_union(system).altiset()
+
+    def test_antichain_wider_than_a_block(self):
+        # every element is maximal, so the maxima found so far outgrow a block
+        n = 700
+        sys_ = system(n, (list(range(n)), GAIN), (list(range(n)), PRICE))
+        assert altiset_of_system(sys_) == set(range(n)) == system_union(sys_).altiset()
+
+    def test_chain_behind_a_wide_antichain(self):
+        # the chain sorts after the antichain and only its head is maximal:
+        # each link is dominated by the link before it, not by the antichain
+        antichain = [(1000 + i, -1000 - i) for i in range(700)]
+        chain = [(500 - i, 10_000 - i) for i in range(60)]
+        got = maxima(np.array(chain[::-1] + antichain))
+        assert np.flatnonzero(got).tolist() == [59] + list(range(60, 760))
+
+    def test_memory_stays_below_the_pairwise_matrix(self):
+        n = 4000
+        keys = np.column_stack([np.arange(n), -np.arange(n)])
+        tracemalloc.start()
+        try:
+            assert maxima(keys).all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 2  # one (n, n) boolean matrix would take n*n bytes
+
+
+class TestKeyedOrder:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_key(self, bad):
+        with pytest.raises(NonFiniteError):
+            KeyedOrder((1.0, bad))
+
+    def test_integer_and_string_keys_are_accepted(self):
+        big = 10**400  # beyond float range, still exact as a Python int
+        r = KeyedOrder((big, 1)).relation(Universe(2))
+        assert set(r.pairs()) == {(0, 0), (1, 1), (1, 0)}
+        assert altiset_of_system(system(2, ((big, 1), GAIN))) == {0}
+        assert altiset_of_system(system(3, (("b", "a", "b"), PRICE))) == {1}
 
 
 class TestSystemUnion:
@@ -97,6 +202,23 @@ class TestQuotient:
             assert not adj.trace()
             assert not (adj & adj.T).any()
             assert view.class_order.transitive_closure() == view.class_order
+
+
+    def test_subset_matches_restricted_system(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 8)
+            sys_ = random_system(rng, n)
+            idx = [i for i in range(n) if rng.random() < 0.6]
+            view = quotient(sys_, idx)
+            restricted = OrderSystem(Universe(len(idx)), tuple(
+                KeyedOrder(tuple(o.keys[i] for i in idx), o.direction) for o in sys_.orders
+            ))
+            whole = quotient(restricted)
+            assert view.classes == tuple(tuple(idx[i] for i in c) for c in whole.classes)
+            assert view.class_order == whole.class_order
+            assert view.maximal_classes == whole.maximal_classes
+            chosen = {a for k in view.maximal_classes for a in view.classes[k]}
+            assert chosen == altiset_bruteforce(system_union(sys_), idx)
 
 
 class TestAltisetOfSystem:
