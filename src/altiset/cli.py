@@ -52,7 +52,11 @@ def _read(path: str) -> tuple[str, str]:
     """File text plus its sha256 digest."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return text, hashlib.sha256(raw).hexdigest()
 
 
 def _document(command: str, digest: str, settings: dict, result: dict, timestamp: bool) -> str:

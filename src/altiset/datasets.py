@@ -2,13 +2,16 @@
 
 Formats are strict: schema violations raise ParseError naming the field
 (and the line for CSV).  emit/parse round-trip to identical values.
+
+A relation's "pairs" is read straight into an (m, 2) integer array, with no
+Python object per pair, when every entry is a plain digit run; any other
+valid JSON goes through json.loads and gets the same answer and errors.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from typing import Optional, Sequence, Union
@@ -46,22 +49,82 @@ def _is_finite_number(v) -> bool:
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-def _index_pairs(pairs: list, size: int) -> Union[np.ndarray, list]:
-    """The pairs checked against size, as an (m, 2) integer array when
-    every index fits in int64.
+def _finite_float(v, name: str) -> float:
+    """A finite JSON number as a float; a ParseError names the field otherwise."""
+    try:
+        if _is_finite_number(v):
+            return float(v)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ParseError(f"{name} must be a finite number")
+
+
+_CLASSES = bytes.maketrans(b"0123456789 \t\n\r", b"0000000000    ")
+_DECODER = json.JSONDecoder()
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _scan_pairs(text: str, i: int) -> tuple[np.ndarray, int]:
+    """Like raw_decode, for the array of index pairs at text[i]: an (m, 2)
+    int64 array, with no Python object per pair, and the index after it.
+
+    Raises ValueError unless every index is a run of at most 18 digits
+    with no leading zero.
+    """
+    stop = text.find('"', i)  # "pairs" holds no string, so it ends before
+    end = text.rfind("]", i, len(text) if stop < 0 else stop) + 1
+    raw = text[i:end].encode("ascii")
+    cls = np.frombuffer(raw.translate(_CLASSES), np.uint8)  # digits read '0', blanks ' '
+    digit = cls == 48
+    keep = cls != 32
+    keep[1:] &= ~(digit[1:] & digit[:-1])  # one '0' per digit run; a blank splits a run
+    m = np.count_nonzero(keep) // 6
+    starts = np.flatnonzero(digit & keep)
+    lengths = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts  # raw ends in ']'
+    chars = np.frombuffer(raw, np.uint8)
+    if (
+        cls[keep].tobytes() != b"[" + (b",[0,0]" * m)[1:] + b"]"
+        or lengths.max(initial=0) > 18
+        or ((chars[starts] == 48) & (lengths > 1)).any()
+    ):
+        raise ValueError("not a list of index pairs")
+    del cls, digit, keep  # one byte per character: free them before the int64 work
+    values = np.zeros(2 * m, np.int64)
+    for k in range(lengths.max(initial=0)):
+        values = np.where(lengths > k, values * 10 + chars.take(starts + k, mode="clip") - 48, values)
+    return values.reshape(m, 2), end
+
+
+def _scan_relation(text: str) -> Optional[dict]:
+    """The top-level object with "pairs" read by _scan_pairs, one member at
+    a time, so a repeated key keeps its last value as in json.loads; None
+    where the scan does not recognise the text."""
+    doc, i, sep = {}, _skip_ws(text).end(), "{"
+    try:
+        while text.startswith(sep, i):
+            key, i = _DECODER.raw_decode(text, _skip_ws(text, i + 1).end())
+            i = _skip_ws(text, i).end()
+            if not isinstance(key, str) or not text.startswith(":", i):
+                return None
+            decode = _scan_pairs if key == "pairs" else _DECODER.raw_decode
+            doc[key], i = decode(text, _skip_ws(text, i + 1).end())
+            i, sep = _skip_ws(text, i).end(), ","
+    except ValueError:  # invalid JSON, or a "pairs" the scan does not recognise
+        return None
+    if sep == "," and text.startswith("}", i) and _skip_ws(text, i + 1).end() == len(text):
+        return doc
+    return None
+
+
+def _index_pairs(pairs: Union[np.ndarray, list], size: int) -> Union[np.ndarray, list]:
+    """The pairs checked against size.
 
     A ParseError names the first offending pair in input order.
     """
-    entries = itertools.chain.from_iterable
-    try:
-        # json.loads makes true/false bools, not ints, so the set of entry
-        # types rules out bools, floats, strings and nested lists at once
-        if set(map(len, pairs)) <= {2} and set(map(type, entries(pairs))) <= {int}:
-            idx = np.fromiter(entries(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
-            if not ((idx < 0) | (idx >= size)).any():
-                return idx
-    except (TypeError, OverflowError):
-        pass  # a non-list pair, or an index beyond int64
+    if isinstance(pairs, np.ndarray):
+        if not (pairs >= size).any():  # the scan reads no negative index
+            return pairs
+        pairs = pairs.tolist()
     for k, p in enumerate(pairs):
         if not isinstance(p, list) or len(p) != 2 or not all(_is_int(v) for v in p):
             raise ParseError(f'"pairs"[{k}] must be a pair of integers')
@@ -72,7 +135,7 @@ def _index_pairs(pairs: list, size: int) -> Union[np.ndarray, list]:
 
 
 def parse_relation(text: str) -> FiniteRelation:
-    doc = _load_json(text)
+    doc = _scan_relation(text) or _load_json(text)
     size = doc.get("size")
     if not _is_int(size) or size < 0:
         raise ParseError('"size" must be a non-negative integer')
@@ -81,7 +144,7 @@ def parse_relation(text: str) -> FiniteRelation:
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise ParseError('"labels" must be a list of strings')
     pairs = doc.get("pairs", [])
-    if not isinstance(pairs, list):
+    if not isinstance(pairs, (list, np.ndarray)):
         raise ParseError('"pairs" must be a list of [a, b] index pairs')
     checked = _index_pairs(pairs, size)
     universe = Universe(size, tuple(labels) if labels is not None else None)
@@ -239,11 +302,11 @@ def parse_family(text: str) -> SubsetFamily:
     h = doc.get("h")
     if not isinstance(h, dict):
         raise ParseError('"h" must be an object mapping element -> number')
+    valuation = {}
     for e in elements:
         if e not in h:
             raise ParseError(f'"h" is missing element {e!r}')
-        if not _is_finite_number(h[e]):
-            raise ParseError(f'"h"[{e!r}] must be a finite number')
+        valuation[e] = _finite_float(h[e], f'"h"[{e!r}]')
     family = doc.get("family")
     if not isinstance(family, list) or not family:
         raise ParseError('"family" must be a nonempty list of element lists')
@@ -256,7 +319,7 @@ def parse_family(text: str) -> SubsetFamily:
             raise ParseError(f'"family"[{k}] has unknown elements {sorted(stray)}')
         members.append(frozenset(m))
     try:
-        ground = ValuedGroundSet(tuple(elements), {e: float(h[e]) for e in elements})
+        ground = ValuedGroundSet(tuple(elements), valuation)
         return SubsetFamily(ground, tuple(members))
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc

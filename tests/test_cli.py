@@ -166,7 +166,9 @@ class TestExitCodes:
         ]) == EXIT_IO
         assert "line 2: non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="beyond-float"),
+    ])
     def test_non_finite_valuation_is_parse_error(self, tmp_path, capsys, value):
         path = tmp_path / "family.json"
         path.write_text(
@@ -174,6 +176,17 @@ class TestExitCodes:
         )
         assert main(["--no-timestamp", "collective", str(path)]) == EXIT_IO
         assert """'a'] must be a finite number""" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text", [
+        (["layers", "--relation"], b'{"size": 1, "labels": ["caf\xe9"], "pairs": []}'),
+        (["correlate"], b"x,y\n0,0\n1,caf\xe9\n"),
+        (["skyline", "--ref", "0"], b"x,h\ncaf\xe9,1\n2,5\n"),
+    ])
+    def test_non_utf8_input_is_parse_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text)
+        assert main(["--no-timestamp", *command, str(path)]) == EXIT_IO
+        assert "is not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["nan,1", "1,inf", "-inf,2"])
     def test_non_finite_point_is_parse_error(self, tmp_path, capsys, row):

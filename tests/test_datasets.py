@@ -1,10 +1,17 @@
+import contextlib
+import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altiset import datasets
-from altiset.errors import ParseError
+from altiset.errors import AltisetError, ParseError
 from altiset.geoalt import EUCLIDEAN_2D, REAL_LINE
+from altiset.relation import FiniteRelation, Universe
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -68,6 +75,145 @@ class TestRelationFormat:
     def test_missing_size(self):
         with pytest.raises(ParseError, match='"size"'):
             datasets.parse_relation('{"pairs": []}')
+
+
+def parse_outcome(text: str, scan: bool = True):
+    """parse_relation's relation, or its error's type and message;
+    scan=False forces the json.loads route."""
+    route = mock.patch.object(datasets, "_scan_relation", return_value=None)
+    with contextlib.nullcontext() if scan else route:
+        try:
+            return datasets.parse_relation(text)
+        except AltisetError as exc:
+            return type(exc).__name__, str(exc)
+
+
+BLANKS = st.sampled_from(["", "", " ", "\n  ", "\t\r"])
+
+
+@st.composite
+def relation_documents(draw):
+    """A valid relation file: members in random order, JSON whitespace
+    anywhere, optional labels, an earlier "pairs" the last one overrides,
+    and "pairs" sometimes spelled with an escape."""
+    size = draw(st.integers(0, 150))
+    index = st.integers(0, max(size - 1, 0))
+
+    def pairs_text(pairs):
+        gap = lambda: draw(BLANKS)
+        items = [
+            f"{gap()}[{gap()}{a}{gap()},{gap()}{b}{gap()}]{gap()}" for a, b in pairs
+        ]
+        return "[" + ",".join(items) + gap() + "]"
+
+    pairs = draw(st.lists(st.tuples(index, index), max_size=12 if size else 0))
+    pairs_key = draw(st.sampled_from(['"pairs"', '"\\u0070airs"', '"pa\\u0069rs"']))
+    members = [('"size"', str(size)), (pairs_key, pairs_text(pairs))]
+    if size <= 8 and draw(st.booleans()):
+        labels = draw(st.lists(st.text(max_size=4), min_size=size, max_size=size, unique=True))
+        members.append(('"labels"', json.dumps(labels, ensure_ascii=draw(st.booleans()))))
+    if draw(st.booleans()):
+        members.append(('"note"', json.dumps(draw(st.dictionaries(st.text(max_size=3), st.integers())))))
+    members = draw(st.permutations(members))
+    if draw(st.booleans()):  # an overridden duplicate comes first
+        earlier = draw(st.lists(st.tuples(index, index), max_size=3 if size else 0))
+        members.insert(0, ('"pairs"', pairs_text(earlier)))
+    body = ",".join(f"{draw(BLANKS)}{k}{draw(BLANKS)}:{draw(BLANKS)}{v}" for k, v in members)
+    return "{" + body + draw(BLANKS) + "}" + draw(BLANKS)
+
+
+MUTATION_CHARS = '[]{},:" 0123456789-.eEtruefalsn\\'
+
+
+class TestPairsScan:
+    """The scan of "pairs" against the json.loads route it falls back to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(relation_documents())
+    def test_valid_documents_take_the_scan(self, text):
+        doc = json.loads(text)
+        universe = Universe(doc["size"], tuple(doc["labels"]) if "labels" in doc else None)
+        assert datasets._scan_relation(text) is not None
+        assert datasets.parse_relation(text) == FiniteRelation.from_pairs(universe, doc["pairs"])
+
+    @settings(max_examples=400, deadline=None)
+    @given(relation_documents(), st.data())
+    def test_mutants_match_the_json_route(self, text, data):
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(0, len(text)))
+            c = data.draw(st.sampled_from(MUTATION_CHARS))
+            text = data.draw(st.sampled_from([
+                text[:k] + c + text[k:], text[:k] + text[k + 1:], text[:k] + c + text[k + 1:],
+            ]))
+        doc = datasets._scan_relation(text)
+        if doc is None:
+            return  # parse_relation takes the json.loads route itself
+        if isinstance(doc.get("pairs"), np.ndarray):
+            doc["pairs"] = doc["pairs"].tolist()
+        assert doc == json.loads(text)
+        size = doc.get("size")
+        if not isinstance(size, int) or size <= 2000:  # skip mutants with huge matrices
+            assert parse_outcome(text) == parse_outcome(text, scan=False)
+
+    @pytest.mark.parametrize("pairs", [
+        "[[0 ,2 1]]", "[[01,1]]", "[[0,1,2]]", "[[0],[1]]", "[[[0,1]]]", "[[0,1],]",
+        "[[1000000000000000000,0]]", "[[0,-1]]", "[[true,0]]", "[[0,1]] ]",
+        "[[0,1.0]]", "[[0,1e0]]", "[[0,\"1\"]]", "[[\u00a00,1]]", "[]]",
+    ])
+    def test_unrecognised_pairs_keep_the_json_route_errors(self, pairs):
+        text = '{"size": 3, "pairs": ' + pairs + "}"
+        assert datasets._scan_relation(text) is None
+        outcome = parse_outcome(text)
+        assert outcome[0] == "ParseError"
+        assert outcome == parse_outcome(text, scan=False)
+
+    @pytest.mark.parametrize("text", [
+        '{"size": 3, "x": {"pairs": [[0, 9]]}, "pairs": [[0, 1]]}',
+        '{"size": 3, "pairs": [[0, 1]], "x": {"pairs": 5}}',
+        '{"size": 3, "pairs": [[0, 1]]} x',
+        '{"size": 3, "pairs": [[0, 1]]}}',
+        '{"size": 3, "pairs": [[0, 3]]}',
+        '{"size": 3, "pairs": [[0, 1]], "pairs": [[2, 1], [999999999999999999, 0]]}',
+        '{"size": 3, "pairs": [[0, 1]],}',
+        '[{"size": 3, "pairs": [[0, 1]]}]',
+    ])
+    def test_documents_around_pairs(self, text):
+        assert parse_outcome(text) == parse_outcome(text, scan=False)
+
+    @pytest.fixture(scope="class")
+    def total_order(self):
+        n = 600
+        pairs = [[a, b] for a in range(n) for b in range(a + 1, n)]
+        return FiniteRelation.from_pairs(Universe(n), pairs), {"size": n, "pairs": pairs}
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_total_order_takes_the_scan(self, total_order, indent, monkeypatch):
+        rel, doc = total_order
+        text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
+        monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
+        assert datasets.parse_relation(text) == rel
+
+    def test_labelled_relation_takes_the_scan(self, monkeypatch):
+        text = '{"labels": ["caf\u00e9", "x\\"y", "\u03b1"], "pairs": [[2, 0], [0, 1]], "size": 3}'
+        expected = json.loads(text)
+        monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
+        rel = datasets.parse_relation(text)
+        assert rel.universe.labels == tuple(expected["labels"])
+        assert set(rel.pairs()) == {(2, 0), (0, 1)}
+
+    def test_scan_peak_memory_is_below_json_loads(self, total_order):
+        _, doc = total_order
+        text = json.dumps(doc, separators=(",", ":"))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(datasets.parse_relation) <= peak(json.loads)
 
 
 class TestOrderSystemFormat:
@@ -168,6 +314,12 @@ class TestFamilyFormat:
         with pytest.raises(ParseError, match="unknown"):
             datasets.parse_family(
                 '{"elements": ["a"], "h": {"a": 1}, "family": [["z"]]}'
+            )
+
+    def test_valuation_beyond_float_range(self):
+        with pytest.raises(ParseError, match=r"\"h\"\['a'\] must be a finite number"):
+            datasets.parse_family(
+                '{"elements": ["a"], "h": {"a": 1%s}, "family": [["a"]]}' % ("0" * 400)
             )
 
     def test_missing_valuation(self):
