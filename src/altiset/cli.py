@@ -224,7 +224,10 @@ def _run_evolve(args, digest, text):
     else:
         nx = ny = _default_resolution()
     grid = GridMeasure.around(summits, inflate=args.inflate, nx=nx, ny=ny)
-    trace = evolve(summits, field.altitudes, grid, max_steps=args.max_steps)
+    try:
+        trace = evolve(summits, field.altitudes, grid, max_steps=args.max_steps)
+    except MemoryError as exc:
+        raise ParseError(f"grid {grid.nx}x{grid.ny} is too large to hold in memory") from exc
     settings = {
         "box": [grid.xmin, grid.xmax, grid.ymin, grid.ymax],
         "grid": [grid.nx, grid.ny],

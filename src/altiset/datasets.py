@@ -147,8 +147,8 @@ def parse_relation(text: str) -> FiniteRelation:
     if not isinstance(pairs, (list, np.ndarray)):
         raise ParseError('"pairs" must be a list of [a, b] index pairs')
     checked = _index_pairs(pairs, size)
-    universe = Universe(size, tuple(labels) if labels is not None else None)
     try:
+        universe = Universe(size, tuple(labels) if labels is not None else None)
         return FiniteRelation.from_pairs(universe, checked)
     except MemoryError as exc:
         raise ParseError(f'"size" {size} is too large to hold in memory') from exc

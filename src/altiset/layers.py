@@ -8,14 +8,16 @@ length.  Indices are 1-based.
 The layering is computed in one level-wise Kahn pass (Kahn, CACM 1962)
 over the asymmetric interior rather than by peeling: an element's upper
 index is one more than the largest upper index among the elements that
-strictly dominate it.  That costs O(n^2) numpy work for any depth; the
-cycle DFS runs only when the pass stalls, to extract the witness.
+strictly dominate it.  That costs O(n^2) numpy work for any depth.  The
+operator chains and their colorings are read off the two index vectors of
+that pass, and a cycle witness off the residue it leaves unplaced;
+`apply_operator` stays as the definitional step they are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import (
     NotAStrictOrderError,
     OracleSizeError,
 )
-from .relation import FiniteRelation
+from .relation import FiniteRelation, _levels
 
 UPPER = "v"  # remove the altiset of R
 LOWER = "l"  # remove the altiset of R^-1
@@ -46,43 +48,12 @@ class LayerDecomposition:
         return frozenset(x for x, v in enumerate(self.lower_index) if v == i)
 
 
-def _require_aa(rel: FiniteRelation) -> None:
-    cycle = rel.find_asym_cycle()
-    if cycle is not None:
-        raise CyclicRelationError(cycle)
-
-
-def _levels(strict: np.ndarray) -> Optional[np.ndarray]:
-    """Kahn's pass by levels over a strict domination matrix.
-
-    strict[a, b] means b strictly dominates a.  Level 1 holds the elements
-    with no dominator, level k + 1 those whose last dominator left at
-    level k.  Returns the 1-based level of each element, or None when a
-    cycle stops the pass before every element is placed.
-    """
-    n = strict.shape[0]
-    # row f of dominated_by lists the elements that f strictly dominates
-    dominated_by = np.ascontiguousarray(strict.T)
-    pending = strict.sum(axis=1)  # strict dominators not yet placed
-    level = np.zeros(n, dtype=np.int64)
-    frontier = np.flatnonzero(pending == 0)
-    k = placed = 0
-    while frontier.size:
-        k += 1
-        level[frontier] = k
-        placed += frontier.size
-        freed = dominated_by[frontier].sum(axis=0)
-        pending -= freed
-        frontier = np.flatnonzero((pending == 0) & (freed > 0))
-    return level if placed == n else None
-
-
 def upper_layers(rel: FiniteRelation) -> LayerDecomposition:
     """Both layer index maps and d(R); requires the AA-property."""
     adj = rel.adjacency
     strict = adj & ~adj.T
     upper = _levels(strict)
-    if upper is None:
+    if not upper.all():
         raise CyclicRelationError(rel.find_asym_cycle())
     lower = _levels(strict.T)  # the strict part of R^-1
     return LayerDecomposition(
@@ -100,21 +71,30 @@ def apply_operator(op: str, rel: FiniteRelation, subset: Iterable[int]) -> froze
     raise DimensionError(f"unknown operator {op!r}; expected {UPPER!r} or {LOWER!r}")
 
 
+def _chain_counts(term: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """How many v and l operators the first i applied (right-to-left) hold."""
+    for op in term:
+        if op not in (UPPER, LOWER):
+            raise DimensionError(f"unknown operator {op!r}; expected {UPPER!r} or {LOWER!r}")
+    k = np.cumsum([op == UPPER for op in reversed(term)], dtype=np.int64)
+    return k, np.arange(1, len(term) + 1) - k
+
+
 def eval_chain(term: Sequence[str], rel: FiniteRelation) -> tuple[frozenset[int], list[frozenset[int]]]:
     """Apply a chain of operators (right-to-left) to the whole universe.
 
     Returns the final set and the intermediate sets X_1 = A, X_2, ...,
-    X_{k+1} (one per applied operator).
+    X_{k+1} (one per applied operator).  After k v and m l operators the
+    set is {x : upper(x) > k and lower(x) > m}, read off the indices.
     """
     if not term:
         raise DimensionError("chain term must be nonempty")
-    _require_aa(rel)
-    current = frozenset(range(rel.universe.size))
-    intermediates = [current]
-    for op in reversed(term):
-        current = apply_operator(op, rel, current)
-        intermediates.append(current)
-    return current, intermediates
+    d = upper_layers(rel)
+    upper, lower = np.array(d.upper_index), np.array(d.lower_index)
+    intermediates = [frozenset(range(rel.universe.size))]
+    for k, m in zip(*_chain_counts(term)):
+        intermediates.append(frozenset(np.flatnonzero((upper > k) & (lower > m)).tolist()))
+    return intermediates[-1], intermediates
 
 
 def chain_coloring(term: Sequence[str], rel: FiniteRelation) -> tuple[int, ...]:
@@ -122,17 +102,15 @@ def chain_coloring(term: Sequence[str], rel: FiniteRelation) -> tuple[int, ...]:
 
     The term must have length d(R); the coloring is proper on the
     comparability digraph trans(asym R) and uses exactly d(R) colors.
+    Step i removes x first when the v count reaches upper(x) or the l
+    count reaches lower(x).
     """
-    d = upper_layers(rel).class_count
-    if len(term) != d:
-        raise DimensionError(f"chain length {len(term)} != class count {d}")
-    _, steps = eval_chain(term, rel)
-    n = rel.universe.size
-    colors = [0] * n
-    for i in range(len(steps) - 1):
-        for x in steps[i] - steps[i + 1]:
-            colors[x] = i + 1
-    return tuple(colors)
+    d = upper_layers(rel)
+    if len(term) != d.class_count:
+        raise DimensionError(f"chain length {len(term)} != class count {d.class_count}")
+    k, m = _chain_counts(term)
+    first = np.minimum(np.searchsorted(k, d.upper_index), np.searchsorted(m, d.lower_index))
+    return tuple((first + 1).tolist())
 
 
 def longest_chain(strict: FiniteRelation) -> int:

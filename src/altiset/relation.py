@@ -150,44 +150,22 @@ class FiniteRelation:
     def find_asym_cycle(self) -> Optional[list[int]]:
         """A cycle of the digraph (A, asym R), or None if acyclic.
 
-        Iterative DFS with an explicit stack; returned list has first ==
-        last index.
+        Walks the residue that the Kahn pass leaves unplaced: each such
+        element has an unplaced strict dominator, so stepping to one repeats
+        an element within n steps, and the repeat closes a cycle.  The
+        returned list has first == last index.
         """
-        succ = self.asym_interior().adjacency
-        n = self.universe.size
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = [WHITE] * n
-        parent = [-1] * n
-        for root in range(n):
-            if color[root] != WHITE:
-                continue
-            stack = [(root, 0)]
-            color[root] = GREY
-            while stack:
-                v, nxt = stack.pop()
-                found = False
-                for w in range(nxt, n):
-                    if not succ[v, w]:
-                        continue
-                    if color[w] == GREY:
-                        cycle = [v]
-                        u = v
-                        while u != w:
-                            u = parent[u]
-                            cycle.append(u)
-                        cycle.reverse()
-                        cycle.append(cycle[0])
-                        return cycle
-                    if color[w] == WHITE:
-                        stack.append((v, w + 1))
-                        parent[w] = v
-                        color[w] = GREY
-                        stack.append((w, 0))
-                        found = True
-                        break
-                if not found:
-                    color[v] = BLACK
-        return None
+        adj = self.adjacency
+        strict = adj & ~adj.T
+        unplaced = _levels(strict) == 0
+        if not unplaced.any():
+            return None
+        walk: dict[int, int] = {}  # element -> its step on the walk
+        v = int(unplaced.argmax())
+        while v not in walk:
+            walk[v] = len(walk)
+            v = int((strict[v] & unplaced).argmax())
+        return list(walk)[walk[v]:] + [v]
 
     def has_aa_property(self) -> bool:
         """True iff the asymmetric interior is acyclic as a digraph."""
@@ -221,6 +199,30 @@ class FiniteRelation:
         sub_universe = Universe(len(idx), labels)
         adj = self.adjacency[np.ix_(ids, ids)] if idx else np.zeros((0, 0), bool)
         return FiniteRelation(sub_universe, adj), idx
+
+
+def _levels(strict: np.ndarray) -> np.ndarray:
+    """Kahn's pass by levels over a strict domination matrix.
+
+    strict[a, b] means b strictly dominates a.  Level 1 holds the elements
+    with no dominator, level k + 1 those whose last dominator left at
+    level k.  Returns the 1-based level of each element; 0 marks the
+    residue that a cycle leaves unplaced.
+    """
+    n = strict.shape[0]
+    # row f of dominated_by lists the elements that f strictly dominates
+    dominated_by = np.ascontiguousarray(strict.T)
+    pending = strict.sum(axis=1)  # strict dominators not yet placed
+    level = np.zeros(n, dtype=np.int64)
+    frontier = np.flatnonzero(pending == 0)
+    k = 0
+    while frontier.size:
+        k += 1
+        level[frontier] = k
+        freed = dominated_by[frontier].sum(axis=0)
+        pending -= freed
+        frontier = np.flatnonzero((pending == 0) & (freed > 0))
+    return level
 
 
 def key_array(keys: Sequence) -> np.ndarray:

@@ -156,6 +156,24 @@ class TestExitCodes:
         assert main(["--no-timestamp", "layers", "--relation", str(big)]) == EXIT_IO
         assert '"size" 1000000000 is too large' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", ['["a"]', '["a", "a"]'])
+    def test_bad_labels_are_parse_errors(self, tmp_path, capsys, labels):
+        path = tmp_path / "labels.json"
+        path.write_text(f'{{"size": 2, "labels": {labels}, "pairs": []}}')
+        assert main(["--no-timestamp", "layers", "--relation", str(path)]) == EXIT_IO
+        assert "parse error" in capsys.readouterr().err
+
+    def test_oversized_grid_is_parse_error(self, capsys, monkeypatch):
+        # stands in for the distance matrix of a huge grid, which is never built
+        def no_memory(grid, summits):
+            raise MemoryError
+
+        monkeypatch.setattr("altiset.domains._sq_dists", no_memory)
+        assert main([
+            "--no-timestamp", "evolve", str(FIXTURES / "evolve.csv"), "--grid", "100000x100000",
+        ]) == EXIT_IO
+        assert "grid 100000x100000 is too large" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("method", ["oracle", "circular", "contour", "recursive", "records"])
     def test_non_finite_summit_is_parse_error(self, tmp_path, capsys, method, cell):

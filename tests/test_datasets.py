@@ -76,6 +76,14 @@ class TestRelationFormat:
         with pytest.raises(ParseError, match='"size"'):
             datasets.parse_relation('{"pairs": []}')
 
+    @pytest.mark.parametrize("labels,message", [
+        ('["a"]', "1 labels for universe of size 2"),
+        ('["a", "a"]', "labels must be pairwise distinct"),
+    ])
+    def test_bad_labels_are_parse_errors(self, labels, message):
+        with pytest.raises(ParseError, match=message):
+            datasets.parse_relation(f'{{"size": 2, "labels": {labels}, "pairs": []}}')
+
 
 def parse_outcome(text: str, scan: bool = True):
     """parse_relation's relation, or its error's type and message;

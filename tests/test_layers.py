@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altiset.errors import (
     CyclicRelationError,
@@ -8,6 +9,7 @@ from altiset.errors import (
     NotAStrictOrderError,
     OracleSizeError,
 )
+from altiset import layers
 from altiset.layers import (
     LOWER,
     UPPER,
@@ -227,6 +229,9 @@ class TestChainColoring:
     def test_single_element(self):
         assert chain_coloring([UPPER], rel(1, [])) == (1,)
 
+    def test_empty_relation_takes_the_empty_term(self):
+        assert chain_coloring([], rel(0, [])) == ()
+
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
             chain_coloring([UPPER], CHAIN3)
@@ -242,6 +247,114 @@ class TestChainColoring:
             t = r.asym_interior().transitive_closure()
             for a, b in t.pairs():
                 assert colors[a] != colors[b]
+
+
+def fold_chain(term, r):
+    """Every set of the chain by definitional steps: folds of apply_operator."""
+    steps = [frozenset(range(r.universe.size))]
+    for op in reversed(term):
+        steps.append(apply_operator(op, r, steps[-1]))
+    return steps
+
+
+def fold_coloring(term, r):
+    steps = fold_chain(term, r)
+    colors = [0] * r.universe.size
+    for i, (before, after) in enumerate(zip(steps, steps[1:]), 1):
+        for x in before - after:
+            colors[x] = i
+    return tuple(colors)
+
+
+def assert_chain_matches_fold(term, r):
+    final, steps = eval_chain(term, r)
+    expected = fold_chain(term, r)
+    assert steps == expected and final == expected[-1]
+
+
+@st.composite
+def aa_relations_with_terms(draw):
+    """An AA relation (strict edges upward in a hidden permutation, the rest
+    symmetric or loops) and a term of length 1 to n + 2."""
+    n = draw(st.integers(0, 9))
+    rank = draw(st.permutations(range(n)))
+    flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    pairs = []
+    for a, b in itertools.product(range(n), repeat=2):
+        if flags[a * n + b]:
+            pairs += [(a, b)] if a == b or rank[a] < rank[b] else [(a, b), (b, a)]
+    term = draw(st.lists(st.sampled_from([UPPER, LOWER]), min_size=1, max_size=n + 2))
+    return rel(n, pairs), term
+
+
+class TestChainsMatchOperatorFolds:
+    def test_random_aa(self, rng):
+        for _ in range(400):
+            n = rng.randint(0, 13)
+            r = random_aa_relation(rng, n, rng.choice([0.1, 0.4, 0.8]))
+            term = [rng.choice([UPPER, LOWER]) for _ in range(rng.randint(1, n + 2))]
+            assert_chain_matches_fold(term, r)
+            d = upper_layers(r).class_count
+            term = [rng.choice([UPPER, LOWER]) for _ in range(d)]
+            assert chain_coloring(term, r) == fold_coloring(term, r)
+
+    def test_total_order(self, rng):
+        n = 60
+        r = FiniteRelation.induce(Universe(n), list(range(n)))
+        for term in ([UPPER] * n, [LOWER] * n, [UPPER, LOWER] * (n // 2)):
+            assert_chain_matches_fold(term, r)
+            assert chain_coloring(term, r) == fold_coloring(term, r)
+        for _ in range(5):
+            term = [rng.choice([UPPER, LOWER]) for _ in range(n + 2)]
+            assert_chain_matches_fold(term, r)
+            assert chain_coloring(term[:n], r) == fold_coloring(term[:n], r)
+
+    def test_antichain(self):
+        for r in (rel(5, []), rel(4, [(0, 1), (1, 0), (2, 2)])):
+            for term in ([UPPER], [LOWER], [UPPER, LOWER, UPPER]):
+                assert_chain_matches_fold(term, r)
+            for term in ([UPPER], [LOWER]):
+                assert chain_coloring(term, r) == fold_coloring(term, r) == (1,) * r.universe.size
+
+    @settings(max_examples=300, deadline=None)
+    @given(aa_relations_with_terms())
+    def test_property(self, case):
+        r, term = case
+        assert_chain_matches_fold(term, r)
+        d = upper_layers(r).class_count
+        term = (term * (d + 1))[:d]
+        assert chain_coloring(term, r) == fold_coloring(term, r)
+
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(DimensionError, match="unknown operator 'x'"):
+            eval_chain(["x"], CHAIN3)
+        with pytest.raises(DimensionError, match="unknown operator 'x'"):
+            chain_coloring([UPPER, "x", UPPER], CHAIN3)
+
+    def test_no_peeling_on_an_order(self, rng, monkeypatch):
+        # chains and colorings come from the layer indices alone: no
+        # altiset, no operator step and no cycle search may run
+        def forbidden(*args, **kwargs):
+            raise AssertionError("chains must be read off the layer indices")
+
+        monkeypatch.setattr(FiniteRelation, "altiset", forbidden)
+        monkeypatch.setattr(FiniteRelation, "find_asym_cycle", forbidden)
+        monkeypatch.setattr(layers, "apply_operator", forbidden)
+        n = 600
+        r = FiniteRelation.induce(Universe(n), list(range(n)))
+        term = [rng.choice([UPPER, LOWER]) for _ in range(n)]
+        # element x has upper index n - x and lower index x + 1
+        k = m = 0
+        expected_steps = [frozenset(range(n))]
+        expected_colors = [0] * n
+        for i, op in enumerate(reversed(term), 1):
+            k, m = (k + 1, m) if op == UPPER else (k, m + 1)
+            expected_steps.append(frozenset(range(m, n - k)))
+            for x in expected_steps[-2] - expected_steps[-1]:
+                expected_colors[x] = i
+        final, steps = eval_chain(term, r)
+        assert steps == expected_steps and final == frozenset()
+        assert chain_coloring(term, r) == tuple(expected_colors)
 
 
 class TestLongestChain:

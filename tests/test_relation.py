@@ -150,15 +150,22 @@ class TestPredicates:
         assert rel(3, [(0, 1), (1, 2), (0, 2)]).has_aa_property()
 
     def test_cycle_witness_is_a_cycle(self, rng):
-        for _ in range(200):
-            r = random_relation(rng, rng.randint(2, 7))
+        n = 2000
+        ring = rel(n, [(i, (i + 1) % n) for i in range(n)])
+        cases = [random_relation(rng, rng.randint(2, 7)) for _ in range(200)]
+        cases += [random_relation(rng, 300, density) for density in (0.005, 0.02, 0.4)]
+        found = 0
+        for r in [ring] + cases:
             cycle = r.find_asym_cycle()
             if cycle is None:
                 continue
+            found += 1
             q = r.asym_interior()
             assert cycle[0] == cycle[-1] and len(cycle) >= 3
             for a, b in zip(cycle, cycle[1:]):
                 assert (a, b) in q
+        assert len(ring.find_asym_cycle()) == n + 1
+        assert found > 30 and all(r.find_asym_cycle() for r in cases[-3:])
 
     def test_is_symmetric(self):
         assert rel(2, [(0, 1), (1, 0)]).is_symmetric()
