@@ -7,6 +7,7 @@ degenerate input), 2 I/O or parse error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_altiset(args, digest, text):
+def _run_altiset(args, text):
     rel = datasets.parse_relation(text)
     subset = _parse_subset(args.subset)
     result = {"altiset": sorted(rel.altiset(subset)), "size": rel.universe.size}
@@ -154,7 +155,7 @@ def _run_altiset(args, digest, text):
     return settings, result
 
 
-def _run_layers(args, digest, text):
+def _run_layers(args, text):
     rel = datasets.parse_relation(text)
     decomp = upper_layers(rel)
     result = {
@@ -165,7 +166,7 @@ def _run_layers(args, digest, text):
     return {}, result
 
 
-def _run_correlate(args, digest, text):
+def _run_correlate(args, text):
     points = datasets.parse_points_csv(text)
     # one layering per direction: the blocks are the increasing layers
     blocks = increasing_decomposition(points)
@@ -179,7 +180,7 @@ def _run_correlate(args, digest, text):
     return {}, result
 
 
-def _run_collective(args, digest, text):
+def _run_collective(args, text):
     family = datasets.parse_family(text)
     indices = sorted(collective_altiset(family))
     result = {
@@ -189,7 +190,7 @@ def _run_collective(args, digest, text):
     return {}, result
 
 
-def _run_skyline(args, digest, text):
+def _run_skyline(args, text):
     ref = _parse_ref(args.ref)
     reference = ref if len(ref) == 2 else ref[0]
     space = EUCLIDEAN_2D if len(ref) == 2 else REAL_LINE
@@ -213,7 +214,7 @@ def _run_skyline(args, digest, text):
     return settings, {"altiset": sorted(chosen), "size": len(field)}
 
 
-def _run_evolve(args, digest, text):
+def _run_evolve(args, text):
     field = datasets.parse_summits_csv(text, (0.0, 0.0), EUCLIDEAN_2D)
     summits = field.summits
     if args.grid:
@@ -266,7 +267,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     source_attr, runner = _RUNNERS[args.command]
     try:
         text, digest = _read(getattr(args, source_attr))
-        settings, result = runner(args, digest, text)
+        settings, result = runner(args, text)
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(_document(args.command, digest, settings, result, not args.no_timestamp))
     except ParseError as exc:
         print(f"altiset: parse error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -276,12 +279,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AltisetError as exc:
         print(f"altiset: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    document = _document(args.command, digest, settings, result, not args.no_timestamp)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(document)
-    else:
-        sys.stdout.write(document)
     return EXIT_OK
 
 

@@ -59,7 +59,8 @@ def _finite_float(v, name: str) -> float:
     raise ParseError(f"{name} must be a finite number")
 
 
-_CLASSES = bytes.maketrans(b"0123456789 \t\n\r", b"0000000000    ")
+_CLASSES = bytes.maketrans(b"123456789", b"000000000")
+_DIGITS = bytes(48 <= c <= 57 for c in range(256))
 _DECODER = json.JSONDecoder()
 _skip_ws = json.decoder.WHITESPACE.match
 
@@ -74,13 +75,19 @@ def _scan_pairs(text: str, i: int) -> tuple[np.ndarray, int]:
     stop = text.find('"', i)  # "pairs" holds no string, so it ends before
     end = text.rfind("]", i, len(text) if stop < 0 else stop) + 1
     raw = text[i:end].encode("ascii")
-    cls = np.frombuffer(raw.translate(_CLASSES), np.uint8)  # digits read '0', blanks ' '
+    packed = raw.translate(_CLASSES, b" \t\n\r")  # digits read '0', blanks dropped
+    if len(packed) < len(raw):
+        # dropping a blank inside a number would merge two digit runs into one
+        if _digit_runs(packed) != _digit_runs(raw):
+            raise ValueError("not a list of index pairs")
+        raw = raw.translate(None, b" \t\n\r")  # the work below runs on the blank-free bytes
+    cls = np.frombuffer(packed, np.uint8)
     digit = cls == 48
-    keep = cls != 32
-    keep[1:] &= ~(digit[1:] & digit[:-1])  # one '0' per digit run; a blank splits a run
+    keep = np.ones_like(digit)
+    keep[1:] = ~(digit[1:] & digit[:-1])  # one '0' per digit run
     m = np.count_nonzero(keep) // 6
     starts = np.flatnonzero(digit & keep)
-    lengths = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts  # raw ends in ']'
+    lengths = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts  # packed ends in ']'
     chars = np.frombuffer(raw, np.uint8)
     if (
         cls[keep].tobytes() != b"[" + (b",[0,0]" * m)[1:] + b"]"
@@ -88,11 +95,17 @@ def _scan_pairs(text: str, i: int) -> tuple[np.ndarray, int]:
         or ((chars[starts] == 48) & (lengths > 1)).any()
     ):
         raise ValueError("not a list of index pairs")
-    del cls, digit, keep  # one byte per character: free them before the int64 work
+    del packed, cls, digit, keep  # one byte per character: free them before the int64 work
     values = np.zeros(2 * m, np.int64)
     for k in range(lengths.max(initial=0)):
         values = np.where(lengths > k, values * 10 + chars.take(starts + k, mode="clip") - 48, values)
     return values.reshape(m, 2), end
+
+
+def _digit_runs(raw: bytes) -> int:
+    """How many runs of digits follow another byte in raw."""
+    digit = np.frombuffer(raw.translate(_DIGITS), np.uint8)  # 1 for a digit, else 0
+    return np.count_nonzero(digit[1:] > digit[:-1])
 
 
 def _scan_relation(text: str) -> Optional[dict]:

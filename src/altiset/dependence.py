@@ -3,7 +3,9 @@
 A point set decomposes into a minimal number of strictly increasing (or
 decreasing) subsets; the two counts and their log-ratio give a rank-style
 correlation direction indicator in [-1, 1].  All monotonicity is strict:
-two points sharing an x (or a y) never fit in one increasing block.
+two points sharing an x (or a y) never fit in one increasing block.  The
+blocks are the Pareto layers (`orders.pareto_layers`) of the keys (y, -x),
+or (y, x) for decreasing ones, found with no n x n relation.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateInputError, InjectivityError
-from .layers import LayerDecomposition, upper_layers
-from .relation import FiniteRelation, Universe, union
+import numpy as np
+
+from .errors import DegenerateInputError, InjectivityError, NonFiniteError
+from .orders import pareto_layers
 
 
 @dataclass(frozen=True)
@@ -23,6 +26,8 @@ class PointSet2D:
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+            raise NonFiniteError("point coordinates must be finite")
         if len(set(pts)) != len(pts):
             raise InjectivityError("duplicate points are not allowed")
         object.__setattr__(self, "points", pts)
@@ -31,31 +36,23 @@ class PointSet2D:
         return len(self.points)
 
 
-def _direction_relation(points: PointSet2D, increasing: bool) -> FiniteRelation:
-    """Union of <_y with >_x (increasing) or <_x (decreasing)."""
-    universe = Universe(len(points))
-    xs = [p[0] for p in points.points]
-    ys = [p[1] for p in points.points]
-    by_y = FiniteRelation.induce(universe, ys, strict=True)
-    by_x = FiniteRelation.induce(universe, xs, strict=True)
-    second = by_x.inverse() if increasing else by_x
-    return union([by_y, second])
-
-
-def _layers_for(points: PointSet2D, increasing: bool) -> LayerDecomposition:
+def _layers_for(points: PointSet2D, increasing: bool) -> np.ndarray:
+    """Each point's 1-based block: its Pareto layer on (y, -x) for the
+    increasing direction, (y, x) for the decreasing one."""
     if len(points) == 0:
         raise DegenerateInputError("point set is empty")
-    return upper_layers(_direction_relation(points, increasing))
+    xy = np.array(points.points)
+    return pareto_layers(np.column_stack([xy[:, 1], -xy[:, 0] if increasing else xy[:, 0]]))
 
 
 def increasingness_index(points: PointSet2D) -> int:
     """Minimal number of strictly increasing subsets covering the points."""
-    return _layers_for(points, increasing=True).class_count
+    return int(_layers_for(points, increasing=True).max())
 
 
 def decreasingness_index(points: PointSet2D) -> int:
     """Minimal number of strictly decreasing subsets covering the points."""
-    return _layers_for(points, increasing=False).class_count
+    return int(_layers_for(points, increasing=False).max())
 
 
 def epsilon(points: PointSet2D) -> float:
@@ -83,11 +80,9 @@ def increasing_decomposition(points: PointSet2D) -> list[list[int]]:
     Block i is the i-th successive altiset layer; blocks hold point
     indices sorted ascending.
     """
-    decomp = _layers_for(points, increasing=True)
-    blocks = []
-    for i in range(1, decomp.class_count + 1):
-        blocks.append(sorted(decomp.upper_layer(i)))
-    return blocks
+    layer = _layers_for(points, increasing=True)
+    by_layer = np.argsort(layer, kind="stable")
+    return [b.tolist() for b in np.split(by_layer, np.cumsum(np.bincount(layer)[1:-1]))]
 
 
 def is_increasing_set(points: PointSet2D, indices: Sequence[int]) -> bool:

@@ -5,20 +5,20 @@ least as high and at least as near with one of the two strict.  Nearness
 is one float per summit, compared exactly: the squared distance
 (x - rx)**2 + (y - ry)**2 in the plane and |s - ref| on the real line, so
 ties are transitive and every route sees the same ones.  The oracle is the
-Pareto-maxima kernel on (altitude, -distance); the distance sweep, the
-altitude sweep and the block recursion must agree with it.
+Pareto-maxima kernel on (altitude, -distance); the two sweeps (its first
+Pareto layer, in either column order) and the block recursion must agree
+with it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError, SpaceKindError
-from .orders import maxima
+from .orders import maxima, pareto_layers
 
 EUCLIDEAN_2D = "euclidean-2d"
 REAL_LINE = "real-line"
@@ -87,49 +87,13 @@ def geo_altiset_oracle(field: SummitField) -> frozenset[int]:
 
 
 def skyline_circular(field: SummitField) -> frozenset[int]:
-    """Distance sweep: walk distance groups outward-in reversed — nearest
-    first — keeping the best altitude seen strictly nearer."""
-    d = field.distance_keys().tolist()
-    h = field.altitudes
-    order = sorted(range(len(field)), key=lambda i: d[i])
-    out: set[int] = set()
-    best = -math.inf
-    i = 0
-    while i < len(order):
-        group = [order[i]]
-        j = i + 1
-        while j < len(order) and d[order[j]] == d[group[0]]:
-            group.append(order[j])
-            j += 1
-        group_max = max(h[g] for g in group)
-        if group_max > best:
-            out.update(g for g in group if h[g] == group_max)
-            best = group_max
-        i = j
-    return frozenset(out)
+    """Distance sweep: nearest first, keeping the best altitude seen nearer."""
+    return frozenset(np.flatnonzero(pareto_layers(_keys(field)[:, ::-1]) == 1).tolist())
 
 
 def skyline_contour(field: SummitField) -> frozenset[int]:
-    """Altitude sweep: walk altitude groups top-down keeping the smallest
-    distance among strictly higher summits."""
-    d = field.distance_keys().tolist()
-    h = field.altitudes
-    order = sorted(range(len(field)), key=lambda i: -h[i])
-    out: set[int] = set()
-    best = math.inf
-    i = 0
-    while i < len(order):
-        group = [order[i]]
-        j = i + 1
-        while j < len(order) and h[order[j]] == h[group[0]]:
-            group.append(order[j])
-            j += 1
-        group_min = min(d[g] for g in group)
-        if group_min < best:
-            out.update(g for g in group if d[g] == group_min)
-            best = group_min
-        i = j
-    return frozenset(out)
+    """Altitude sweep: highest first, keeping the least distance seen higher."""
+    return frozenset(np.flatnonzero(pareto_layers(_keys(field)) == 1).tolist())
 
 
 def skyline_recursive(field: SummitField, block_size: int) -> frozenset[int]:

@@ -7,10 +7,12 @@ indistinguishability carries a strict characteristic order whose maxima are
 exactly the significant classes.  So the altiset of a system is the set of
 Pareto maxima of its key columns, and `maxima` computes it for order
 systems, collective comparison, geographic skylines and record events.
+`pareto_layers` peels two columns into successive maxima.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -62,6 +64,32 @@ def maxima(keys) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[order[kept]] = True
     return mask
+
+
+def pareto_layers(keys) -> np.ndarray:
+    """1-based Pareto layer of each row of an (n, 2) array, larger better:
+    layer 1 is `maxima(keys)`, layer j + 1 the maxima left once layers
+    1..j are removed.  In descending lexicographic order every dominator of
+    a row comes before it; patience sorting bisects each row into the best
+    column 1 of each layer so far (Fredman, Discrete Math. 1975), and an
+    equal row shares the layer of the one before it.  O(n log n) time,
+    O(n) memory.  NaN keys raise NonFiniteError.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind == "f" and np.isnan(keys).any():
+        raise NonFiniteError("keys must not be NaN")
+    order = np.lexsort((keys[:, 1], keys[:, 0]))[::-1]
+    ranked = keys[order]
+    repeat = [False] + (ranked[1:] == ranked[:-1]).all(axis=1).tolist()
+    layer, tops = [], []  # tops: minus the best column 1 of each layer so far, ascending
+    for value, again in zip(ranked[:, 1].tolist(), repeat):
+        if not again:
+            j = bisect.bisect_right(tops, -value)
+            tops[j : j + 1] = [-value]  # lowers layer j's entry, or opens layer j + 1
+        layer.append(j + 1)
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = layer
+    return out
 
 
 @dataclass(frozen=True)

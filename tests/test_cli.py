@@ -144,6 +144,14 @@ class TestExitCodes:
     def test_missing_file_is_two(self, capsys):
         assert main(["--no-timestamp", "altiset", "--relation", "/no/such.json"]) == EXIT_IO
 
+    def test_unwritable_output_is_two(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "out.json"
+        assert main([
+            "--no-timestamp", "-o", str(out), "layers", "--relation", str(FIXTURES / "chain3.json"),
+        ]) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--no-timestamp", "frobnicate"])

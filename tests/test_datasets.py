@@ -164,7 +164,7 @@ class TestPairsScan:
             assert parse_outcome(text) == parse_outcome(text, scan=False)
 
     @pytest.mark.parametrize("pairs", [
-        "[[0 ,2 1]]", "[[01,1]]", "[[0,1,2]]", "[[0],[1]]", "[[[0,1]]]", "[[0,1],]",
+        "[[0 ,2 1]]", "[[0,2\n1]]", "[[01,1]]", "[[0,1,2]]", "[[0],[1]]", "[[[0,1]]]", "[[0,1],]",
         "[[1000000000000000000,0]]", "[[0,-1]]", "[[true,0]]", "[[0,1]] ]",
         "[[0,1.0]]", "[[0,1e0]]", "[[0,\"1\"]]", "[[\u00a00,1]]", "[]]",
     ])
@@ -211,9 +211,8 @@ class TestPairsScan:
 
     def test_scan_peak_memory_is_below_json_loads(self, total_order):
         _, doc = total_order
-        text = json.dumps(doc, separators=(",", ":"))
 
-        def peak(fn):
+        def peak(fn, text):
             tracemalloc.start()
             try:
                 fn(text)
@@ -221,7 +220,9 @@ class TestPairsScan:
             finally:
                 tracemalloc.stop()
 
-        assert peak(datasets.parse_relation) <= peak(json.loads)
+        for indent in (None, 2):
+            text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
+            assert peak(datasets.parse_relation, text) <= peak(json.loads, text), indent
 
 
 class TestOrderSystemFormat:

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from altiset.dependence import (
@@ -12,7 +14,9 @@ from altiset.dependence import (
     is_increasing_set,
     minimal_increasing_cover_bruteforce,
 )
-from altiset.errors import DegenerateInputError, InjectivityError
+from altiset.errors import DegenerateInputError, InjectivityError, NonFiniteError
+from altiset.layers import upper_layers
+from altiset.relation import FiniteRelation, Universe, union
 
 
 def pts(*pairs):
@@ -48,6 +52,13 @@ class TestIndices:
     def test_duplicate_points_rejected(self):
         with pytest.raises(InjectivityError):
             pts((1, 1), (1, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            pts((1, 1), (bad, 2))
+        with pytest.raises(NonFiniteError):
+            pts((1, bad))
 
     def test_shared_x_splits_increasing_blocks(self):
         # vertical pair can never lie in one increasing set
@@ -147,3 +158,39 @@ class TestDecomposition:
                     dom_ji = xj >= xi and yj <= yi and (xi, yi) != (xj, yj)
                     incomparable = not (dom_ij or dom_ji)
                     assert incomparable == is_increasing_set(s, [i, j])
+
+
+def matrix_layers(s: PointSet2D, increasing: bool):
+    """Upper layers of <_y union >_x (increasing) or <_y union <_x
+    (decreasing), built as explicit n x n relations."""
+    universe = Universe(len(s))
+    by_x = FiniteRelation.induce(universe, [x for x, _ in s.points])
+    by_y = FiniteRelation.induce(universe, [y for _, y in s.points])
+    return upper_layers(union([by_y, by_x.inverse() if increasing else by_x]))
+
+
+class TestAgainstMatrixRoute:
+    def test_shared_coordinates_match_the_relation_layers(self, rng):
+        for _ in range(300):
+            # a small lattice, so that many points share an x or a y
+            lattice = rng.randint(1, 6)
+            s = random_points(rng, rng.randint(1, min(30, (lattice + 1) ** 2)), lattice)
+            inc, dec = matrix_layers(s, True), matrix_layers(s, False)
+            assert increasingness_index(s) == inc.class_count
+            assert decreasingness_index(s) == dec.class_count
+            expected = [sorted(inc.upper_layer(i)) for i in range(1, inc.class_count + 1)]
+            assert increasing_decomposition(s) == expected
+
+    def test_memory_stays_below_the_pairwise_matrix(self):
+        n = 4000
+        xy = np.random.default_rng(3).random((n, 2))
+        s = PointSet2D(tuple(map(tuple, xy.tolist())))
+        tracemalloc.start()
+        try:
+            blocks = increasing_decomposition(s)
+            minus = decreasingness_index(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, blocks)) == n and minus >= 1
+        assert peak < n * n  # one (n, n) boolean matrix would take n*n bytes

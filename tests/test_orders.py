@@ -18,10 +18,11 @@ from altiset.orders import (
     decompose_altiset,
     indistinguishability,
     maxima,
+    pareto_layers,
     quotient,
     system_union,
 )
-from altiset.relation import FiniteRelation, Universe, altiset_bruteforce, union
+from altiset.relation import FiniteRelation, Universe, _levels, altiset_bruteforce, union
 
 from conftest import random_system
 
@@ -113,6 +114,39 @@ class TestMaxima:
         finally:
             tracemalloc.stop()
         assert peak < n * n // 2  # one (n, n) boolean matrix would take n*n bytes
+
+
+@st.composite
+def two_column_keys(draw):
+    """(n, 2) keys, n = 0..14, from few values so that rows and columns tie."""
+    n = draw(st.integers(0, 14))
+    values = TIE_VALUES if draw(st.booleans()) else st.integers(-2, 2)
+    rows = draw(st.lists(st.tuples(values, values), min_size=n, max_size=n))
+    return np.array(rows).reshape(n, 2)
+
+
+class TestParetoLayers:
+    @settings(max_examples=500, deadline=None)
+    @given(two_column_keys(), st.booleans())
+    def test_matches_levels_of_the_dominance_matrix(self, keys, swap):
+        if swap:
+            keys = keys[:, ::-1]
+        # dominates[a, b]: row b is >= row a in both columns and > in one
+        dominates = (keys[None, :] >= keys[:, None]).all(axis=2) & (keys[None, :] > keys[:, None]).any(axis=2)
+        layers = pareto_layers(keys)
+        assert layers.tolist() == _levels(dominates).tolist()
+        assert (layers == 1).tolist() == maxima(keys).tolist()
+
+    def test_equal_rows_share_a_layer(self):
+        keys = np.array([[1, 1], [1, 1], [0, 0], [0.0, -0.0], [-0.0, 0.0]])
+        assert pareto_layers(keys).tolist() == [1, 1, 2, 2, 2]
+
+    def test_empty(self):
+        assert pareto_layers(np.zeros((0, 2))).tolist() == []
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(NonFiniteError):
+            pareto_layers(np.array([[1.0, math.nan], [0.0, 0.0]]))
 
 
 class TestKeyedOrder:
