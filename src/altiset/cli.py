@@ -276,6 +276,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"altiset: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("altiset: out of memory: the input is too large to process", file=sys.stderr)
+        return EXIT_IO
     except AltisetError as exc:
         print(f"altiset: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

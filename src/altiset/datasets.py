@@ -3,9 +3,11 @@
 Formats are strict: schema violations raise ParseError naming the field
 (and the line for CSV).  emit/parse round-trip to identical values.
 
-A relation's "pairs" is read straight into an (m, 2) integer array, with no
-Python object per pair, when every entry is a plain digit run; any other
-valid JSON goes through json.loads and gets the same answer and errors.
+A relation's "pairs" is read in slices of 64 Ki characters into one exactly
+sized (m, 2) integer array, with no Python object per pair, when every entry
+is a plain digit run; beyond the text and that array, the parse holds one
+slice's temporaries.  Any other valid JSON goes through json.loads and gets
+the same answer and errors.
 """
 
 from __future__ import annotations
@@ -63,18 +65,36 @@ _CLASSES = bytes.maketrans(b"123456789", b"000000000")
 _DIGITS = bytes(48 <= c <= 57 for c in range(256))
 _DECODER = json.JSONDecoder()
 _skip_ws = json.decoder.WHITESPACE.match
+_CHUNK = 1 << 16  # characters per slice of a "pairs" scan
 
 
 def _scan_pairs(text: str, i: int) -> tuple[np.ndarray, int]:
     """Like raw_decode, for the array of index pairs at text[i]: an (m, 2)
     int64 array, with no Python object per pair, and the index after it.
 
-    Raises ValueError unless every index is a run of at most 18 digits
-    with no leading zero.
+    The span is read in slices of about _CHUNK characters into one array
+    sized by its count of ']'.  Each slice ends just after a ']', so no
+    digit run crosses a boundary, and the slices accept what one pass over
+    the whole span would.  Raises ValueError unless every index is a run of
+    at most 18 digits with no leading zero.
     """
     stop = text.find('"', i)  # "pairs" holds no string, so it ends before
     end = text.rfind("]", i, len(text) if stop < 0 else stop) + 1
-    raw = text[i:end].encode("ascii")
+    # m + 1 ']' close a list of m pairs, as the slice shapes check; a span
+    # with no ']' asks for a negative size, which raises ValueError
+    values = np.empty(2 * (text.count("]", i, end) - 1), np.int64)
+    start, done = i, 0
+    while start < end:
+        cut = text.find("]", min(start + _CHUNK, end) - 1, end) + 1
+        done += _scan_slice(text[start:cut].encode("ascii"), start == i, cut == end, values[done:])
+        start = cut
+    return values.reshape(-1, 2), end
+
+
+def _scan_slice(raw: bytes, first: bool, last: bool, out: np.ndarray) -> int:
+    """Read the indices of one slice, which ends just after a ']', into the
+    head of out and return how many there are.  The first slice opens the
+    list; the last one closes it and may hold no pair."""
     packed = raw.translate(_CLASSES, b" \t\n\r")  # digits read '0', blanks dropped
     if len(packed) < len(raw):
         # dropping a blank inside a number would merge two digit runs into one
@@ -85,21 +105,22 @@ def _scan_pairs(text: str, i: int) -> tuple[np.ndarray, int]:
     digit = cls == 48
     keep = np.ones_like(digit)
     keep[1:] = ~(digit[1:] & digit[:-1])  # one '0' per digit run
-    m = np.count_nonzero(keep) // 6
+    shape = b",[0,0]" * (np.count_nonzero(keep) // 6)
+    shape = (b"[" + shape[1:] if first else shape) + (b"]" if last else b"")
     starts = np.flatnonzero(digit & keep)
     lengths = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts  # packed ends in ']'
     chars = np.frombuffer(raw, np.uint8)
     if (
-        cls[keep].tobytes() != b"[" + (b",[0,0]" * m)[1:] + b"]"
+        cls[keep].tobytes() != shape
         or lengths.max(initial=0) > 18
         or ((chars[starts] == 48) & (lengths > 1)).any()
     ):
         raise ValueError("not a list of index pairs")
-    del packed, cls, digit, keep  # one byte per character: free them before the int64 work
-    values = np.zeros(2 * m, np.int64)
+    part = out[: starts.size]
+    part[:] = 0
     for k in range(lengths.max(initial=0)):
-        values = np.where(lengths > k, values * 10 + chars.take(starts + k, mode="clip") - 48, values)
-    return values.reshape(m, 2), end
+        np.copyto(part, part * 10 + chars.take(starts + k, mode="clip") - 48, where=lengths > k)
+    return starts.size
 
 
 def _digit_runs(raw: bytes) -> int:
@@ -135,7 +156,7 @@ def _index_pairs(pairs: Union[np.ndarray, list], size: int) -> Union[np.ndarray,
     A ParseError names the first offending pair in input order.
     """
     if isinstance(pairs, np.ndarray):
-        if not (pairs >= size).any():  # the scan reads no negative index
+        if pairs.max(initial=-1) < size:  # the scan reads no negative index
             return pairs
         pairs = pairs.tolist()
     for k, p in enumerate(pairs):

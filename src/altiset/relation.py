@@ -75,8 +75,8 @@ class FiniteRelation:
             pairs = list(pairs)
         if len(pairs):
             idx = np.asarray(pairs).reshape(len(pairs), 2)
-            bad = ((idx < 0) | (idx >= n)).any(axis=1)
-            if bad.any():
+            if idx.min() < 0 or idx.max() >= n:  # no (m, 2) temporaries on success
+                bad = ((idx < 0) | (idx >= n)).any(axis=1)
                 a, b = pairs[int(bad.argmax())]
                 raise SubsetIndexError(f"pair ({a},{b}) out of range for size {n}")
             adj[idx[:, 0], idx[:, 1]] = True
@@ -201,6 +201,9 @@ class FiniteRelation:
         return FiniteRelation(sub_universe, adj), idx
 
 
+_BLOCK = 256  # frontier rows summed at once in _levels
+
+
 def _levels(strict: np.ndarray) -> np.ndarray:
     """Kahn's pass by levels over a strict domination matrix.
 
@@ -219,7 +222,10 @@ def _levels(strict: np.ndarray) -> np.ndarray:
     while frontier.size:
         k += 1
         level[frontier] = k
-        freed = dominated_by[frontier].sum(axis=0)
+        # summed in blocks of rows: a wide frontier never copies the matrix
+        freed = dominated_by[frontier[:_BLOCK]].sum(axis=0)
+        for s in range(_BLOCK, frontier.size, _BLOCK):
+            freed += dominated_by[frontier[s : s + _BLOCK]].sum(axis=0)
         pending -= freed
         frontier = np.flatnonzero((pending == 0) & (freed > 0))
     return level

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,16 @@ from altiset.collective import SubsetFamily, ValuedGroundSet
 from altiset.geoalt import EUCLIDEAN_2D, SummitField
 from altiset.orders import GAIN, PRICE, KeyedOrder, OrderSystem
 from altiset.relation import FiniteRelation, Universe
+
+
+def peak_bytes(fn, *args) -> int:
+    """The tracemalloc peak of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_relation(rng: random.Random, size: int, density: float = 0.4) -> FiniteRelation:

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from altiset.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from conftest import peak_bytes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -164,6 +166,17 @@ class TestExitCodes:
         assert main(["--no-timestamp", "layers", "--relation", str(big)]) == EXIT_IO
         assert '"size" 1000000000 is too large' in capsys.readouterr().err
 
+    def test_out_of_memory_is_two(self, capsys, monkeypatch):
+        # stands in for the level sweep of a relation too large to layer
+        def no_memory(strict):
+            raise MemoryError
+
+        monkeypatch.setattr("altiset.layers._levels", no_memory)
+        assert main([
+            "--no-timestamp", "layers", "--relation", str(FIXTURES / "chain3.json")
+        ]) == EXIT_IO
+        assert "out of memory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("labels", ['["a"]', '["a", "a"]'])
     def test_bad_labels_are_parse_errors(self, tmp_path, capsys, labels):
         path = tmp_path / "labels.json"
@@ -272,3 +285,20 @@ def test_correlate_matches_library(tmp_path, capsys):
             "iota_minus": decreasingness_index(points),
             "iota_plus": increasingness_index(points),
         }
+
+
+def test_layers_peak_memory_stays_near_the_text(tmp_path):
+    """A 2 MB relation file of about 200,000 pairs: the parse holds 3.2 MB of
+    int64 indices and the layering a few 0.56 MB matrices; nothing else
+    grows with the text."""
+    n, rng = 750, np.random.default_rng(750)
+    rank = rng.permutation(n)
+    drawn = rng.random((n, n)) < 0.4
+    sym = drawn & (rank[:, None] > rank[None, :]) & (rng.random((n, n)) < 0.5)
+    adj = (drawn & (rank[:, None] <= rank[None, :])) | sym | sym.T
+    path = tmp_path / "aa750.json"
+    path.write_text(json.dumps({"size": n, "pairs": np.argwhere(adj).tolist()}, separators=(",", ":")))
+    out = tmp_path / "out.json"
+    argv = ["--no-timestamp", "-o", str(out), "layers", "--relation", str(path)]
+    assert peak_bytes(main, argv) <= 10_000_000
+    assert len(json.loads(out.read_text())["result"]["upper_index"]) == n

@@ -1,6 +1,5 @@
 import contextlib
 import json
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +11,7 @@ from altiset import datasets
 from altiset.errors import AltisetError, ParseError
 from altiset.geoalt import EUCLIDEAN_2D, REAL_LINE
 from altiset.relation import FiniteRelation, Universe
+from conftest import peak_bytes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -133,60 +133,115 @@ def relation_documents(draw):
 MUTATION_CHARS = '[]{},:" 0123456789-.eEtruefalsn\\'
 
 
+def check_valid_document(text: str) -> None:
+    doc = json.loads(text)
+    universe = Universe(doc["size"], tuple(doc["labels"]) if "labels" in doc else None)
+    assert datasets._scan_relation(text) is not None
+    assert datasets.parse_relation(text) == FiniteRelation.from_pairs(universe, doc["pairs"])
+
+
+def check_mutant(text: str, data) -> None:
+    """One to three character edits of a valid document: whatever the scan
+    accepts, json.loads reads the same, with the same parse outcome."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(text)))
+        c = data.draw(st.sampled_from(MUTATION_CHARS))
+        text = data.draw(st.sampled_from([
+            text[:k] + c + text[k:], text[:k] + text[k + 1:], text[:k] + c + text[k + 1:],
+        ]))
+    doc = datasets._scan_relation(text)
+    if doc is None:
+        return  # parse_relation takes the json.loads route itself
+    if isinstance(doc.get("pairs"), np.ndarray):
+        doc["pairs"] = doc["pairs"].tolist()
+    assert doc == json.loads(text)
+    size = doc.get("size")
+    if not isinstance(size, int) or size <= 2000:  # skip mutants with huge matrices
+        assert parse_outcome(text) == parse_outcome(text, scan=False)
+
+
+UNRECOGNISED = [
+    "[[0 ,2 1]]", "[[0,2\n1]]", "[[01,1]]", "[[0,1,2]]", "[[0],[1]]", "[[[0,1]]]", "[[0,1],]",
+    "[[1000000000000000000,0]]", "[[0,-1]]", "[[true,0]]", "[[0,1]] ]",
+    "[[0,1.0]]", "[[0,1e0]]", "[[0,\"1\"]]", "[[\u00a00,1]]", "[]]",
+]
+
+
+def check_unrecognised(text: str) -> None:
+    assert datasets._scan_relation(text) is None
+    outcome = parse_outcome(text)
+    assert outcome[0] == "ParseError"
+    assert outcome == parse_outcome(text, scan=False)
+
+
+AROUND_PAIRS = [
+    '{"size": 3, "x": {"pairs": [[0, 9]]}, "pairs": [[0, 1]]}',
+    '{"size": 3, "pairs": [[0, 1]], "x": {"pairs": 5}}',
+    '{"size": 3, "pairs": [[0, 1]]} x',
+    '{"size": 3, "pairs": [[0, 1]]}}',
+    '{"size": 3, "pairs": [[0, 3]]}',
+    '{"size": 3, "pairs": [[0, 1]], "pairs": [[2, 1], [999999999999999999, 0]]}',
+    '{"size": 3, "pairs": [[0, 1]],}',
+    '[{"size": 3, "pairs": [[0, 1]]}]',
+]
+
+
 class TestPairsScan:
     """The scan of "pairs" against the json.loads route it falls back to."""
 
     @settings(max_examples=300, deadline=None)
     @given(relation_documents())
     def test_valid_documents_take_the_scan(self, text):
-        doc = json.loads(text)
-        universe = Universe(doc["size"], tuple(doc["labels"]) if "labels" in doc else None)
-        assert datasets._scan_relation(text) is not None
-        assert datasets.parse_relation(text) == FiniteRelation.from_pairs(universe, doc["pairs"])
+        check_valid_document(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(relation_documents())
+    def test_valid_documents_take_the_scan_in_7_character_slices(self, text):
+        with mock.patch.object(datasets, "_CHUNK", 7):
+            check_valid_document(text)
 
     @settings(max_examples=400, deadline=None)
     @given(relation_documents(), st.data())
     def test_mutants_match_the_json_route(self, text, data):
-        for _ in range(data.draw(st.integers(1, 3))):
-            k = data.draw(st.integers(0, len(text)))
-            c = data.draw(st.sampled_from(MUTATION_CHARS))
-            text = data.draw(st.sampled_from([
-                text[:k] + c + text[k:], text[:k] + text[k + 1:], text[:k] + c + text[k + 1:],
-            ]))
-        doc = datasets._scan_relation(text)
-        if doc is None:
-            return  # parse_relation takes the json.loads route itself
-        if isinstance(doc.get("pairs"), np.ndarray):
-            doc["pairs"] = doc["pairs"].tolist()
-        assert doc == json.loads(text)
-        size = doc.get("size")
-        if not isinstance(size, int) or size <= 2000:  # skip mutants with huge matrices
-            assert parse_outcome(text) == parse_outcome(text, scan=False)
+        check_mutant(text, data)
 
-    @pytest.mark.parametrize("pairs", [
-        "[[0 ,2 1]]", "[[0,2\n1]]", "[[01,1]]", "[[0,1,2]]", "[[0],[1]]", "[[[0,1]]]", "[[0,1],]",
-        "[[1000000000000000000,0]]", "[[0,-1]]", "[[true,0]]", "[[0,1]] ]",
-        "[[0,1.0]]", "[[0,1e0]]", "[[0,\"1\"]]", "[[\u00a00,1]]", "[]]",
-    ])
+    @settings(max_examples=300, deadline=None)
+    @given(relation_documents(), st.data())
+    def test_mutants_match_the_json_route_in_7_character_slices(self, text, data):
+        with mock.patch.object(datasets, "_CHUNK", 7):
+            check_mutant(text, data)
+
+    @pytest.mark.parametrize("pairs", UNRECOGNISED)
     def test_unrecognised_pairs_keep_the_json_route_errors(self, pairs):
-        text = '{"size": 3, "pairs": ' + pairs + "}"
-        assert datasets._scan_relation(text) is None
-        outcome = parse_outcome(text)
-        assert outcome[0] == "ParseError"
-        assert outcome == parse_outcome(text, scan=False)
+        check_unrecognised('{"size": 3, "pairs": ' + pairs + "}")
 
-    @pytest.mark.parametrize("text", [
-        '{"size": 3, "x": {"pairs": [[0, 9]]}, "pairs": [[0, 1]]}',
-        '{"size": 3, "pairs": [[0, 1]], "x": {"pairs": 5}}',
-        '{"size": 3, "pairs": [[0, 1]]} x',
-        '{"size": 3, "pairs": [[0, 1]]}}',
-        '{"size": 3, "pairs": [[0, 3]]}',
-        '{"size": 3, "pairs": [[0, 1]], "pairs": [[2, 1], [999999999999999999, 0]]}',
-        '{"size": 3, "pairs": [[0, 1]],}',
-        '[{"size": 3, "pairs": [[0, 1]]}]',
-    ])
+    @pytest.mark.parametrize("chunk", [7, 1])
+    @pytest.mark.parametrize("pairs", UNRECOGNISED)
+    def test_unrecognised_pairs_in_later_slices(self, pairs, chunk, monkeypatch):
+        monkeypatch.setattr(datasets, "_CHUNK", chunk)
+        check_unrecognised('{"size": 3, "pairs": [[0, 1], ' + pairs[1:] + "}")
+
+    @pytest.mark.parametrize("text", AROUND_PAIRS)
     def test_documents_around_pairs(self, text):
         assert parse_outcome(text) == parse_outcome(text, scan=False)
+
+    @pytest.mark.parametrize("chunk", [7, 1])
+    @pytest.mark.parametrize("text", AROUND_PAIRS)
+    def test_documents_around_pairs_in_small_slices(self, text, chunk, monkeypatch):
+        monkeypatch.setattr(datasets, "_CHUNK", chunk)
+        assert parse_outcome(text) == parse_outcome(text, scan=False)
+
+    @pytest.mark.parametrize("chunk", [7, 1])
+    @pytest.mark.parametrize("text,pairs", [
+        ('{"size":9,"pairs":[[0,0\n  ]]}', [[0, 0]]),  # the last slice is the closing ']'
+        ('{"size":9,"pairs":[[0,0] \n ]}', [[0, 0]]),  # blanks before the closing ']'
+        ('{"size":9,"pairs":[ ]}', []),
+        ('{"size":9,"pairs":[[8,10],\t[0,7] ,[123456789012345678,0]]}',
+         [[8, 10], [0, 7], [123456789012345678, 0]]),
+    ])
+    def test_small_slices_read_the_pairs(self, text, pairs, chunk, monkeypatch):
+        monkeypatch.setattr(datasets, "_CHUNK", chunk)
+        assert datasets._scan_relation(text)["pairs"].tolist() == pairs
 
     @pytest.fixture(scope="class")
     def total_order(self):
@@ -198,8 +253,10 @@ class TestPairsScan:
     def test_total_order_takes_the_scan(self, total_order, indent, monkeypatch):
         rel, doc = total_order
         text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
+        assert len(text) > 20 * datasets._CHUNK  # read in many slices
         monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
         assert datasets.parse_relation(text) == rel
+        assert datasets._scan_relation(text)["pairs"].tolist() == doc["pairs"]
 
     def test_labelled_relation_takes_the_scan(self, monkeypatch):
         text = '{"labels": ["caf\u00e9", "x\\"y", "\u03b1"], "pairs": [[2, 0], [0, 1]], "size": 3}'
@@ -211,18 +268,17 @@ class TestPairsScan:
 
     def test_scan_peak_memory_is_below_json_loads(self, total_order):
         _, doc = total_order
-
-        def peak(fn, text):
-            tracemalloc.start()
-            try:
-                fn(text)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         for indent in (None, 2):
             text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
-            assert peak(datasets.parse_relation, text) <= peak(json.loads, text), indent
+            assert peak_bytes(datasets.parse_relation, text) <= peak_bytes(json.loads, text), indent
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_scan_peak_memory_does_not_grow_with_the_text(self, total_order, indent):
+        # 179,700 pairs: 2.9 MB of int64 indices and a 0.36 MB matrix; the
+        # text is 1.7 MB compact and 6.0 MB with indent=2
+        _, doc = total_order
+        text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
+        assert peak_bytes(datasets.parse_relation, text) <= 8_000_000
 
 
 class TestOrderSystemFormat:

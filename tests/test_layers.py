@@ -22,7 +22,7 @@ from altiset.layers import (
 )
 from altiset.relation import FiniteRelation, Universe
 
-from conftest import random_aa_relation, random_relation
+from conftest import peak_bytes, random_aa_relation, random_relation
 
 
 def rel(size, pairs):
@@ -35,6 +35,12 @@ CYCLE3 = rel(3, [(0, 1), (1, 2), (2, 0)])
 
 
 class TestUpperLayers:
+    def test_antichain_peak_memory(self):
+        # the strict part and its transpose; the frontier of all n elements
+        # is summed in blocks, never copied whole
+        n = 2000
+        assert peak_bytes(upper_layers, FiniteRelation.empty(Universe(n))) < 2.5 * n * n
+
     def test_chain(self):
         d = upper_layers(CHAIN3)
         assert d.upper_index == (3, 2, 1)
