@@ -7,71 +7,29 @@ subset comparison, geometric skylines and a measure-driven valuation
 evolution.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .collective import (
-    SubsetFamily,
-    ValuedGroundSet,
-    collective_altiset,
-    pairwise_elimination,
-    rh_dominates,
-    threshold_profile,
-)
-from .dependence import (
-    PointSet2D,
-    decreasingness_index,
-    epsilon,
-    increasing_decomposition,
-    increasingness_index,
-)
-from .domains import GridMeasure, ValuationTrace, evolve, inverse_altiset_measure, voronoi_mu
-from .errors import AltisetError
-from .geoalt import (
-    SummitField,
-    geo_altiset_oracle,
-    record_events,
-    skyline_circular,
-    skyline_contour,
-    skyline_recursive,
-)
-from .layers import LayerDecomposition, chain_coloring, eval_chain, upper_layers
-from .orders import KeyedOrder, OrderSystem, altiset_of_system, decompose_altiset, quotient
-from .relation import FiniteRelation, Universe, union
+# each public name under its home module, which is imported on first use (PEP 562)
+_EXPORTS = {
+    "collective": ("SubsetFamily", "ValuedGroundSet", "collective_altiset", "pairwise_elimination",
+                   "rh_dominates", "threshold_profile"),
+    "dependence": ("PointSet2D", "decreasingness_index", "epsilon", "increasing_decomposition",
+                   "increasingness_index"),
+    "domains": ("GridMeasure", "ValuationTrace", "evolve", "inverse_altiset_measure", "voronoi_mu"),
+    "errors": ("AltisetError",),
+    "geoalt": ("SummitField", "geo_altiset_oracle", "record_events", "skyline_circular",
+               "skyline_contour", "skyline_recursive"),
+    "layers": ("LayerDecomposition", "chain_coloring", "eval_chain", "upper_layers"),
+    "orders": ("KeyedOrder", "OrderSystem", "altiset_of_system", "decompose_altiset", "quotient"),
+    "relation": ("FiniteRelation", "Universe", "union"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
-__all__ = [
-    "AltisetError",
-    "FiniteRelation",
-    "GridMeasure",
-    "KeyedOrder",
-    "LayerDecomposition",
-    "OrderSystem",
-    "PointSet2D",
-    "SubsetFamily",
-    "SummitField",
-    "Universe",
-    "ValuationTrace",
-    "ValuedGroundSet",
-    "altiset_of_system",
-    "chain_coloring",
-    "collective_altiset",
-    "decompose_altiset",
-    "decreasingness_index",
-    "epsilon",
-    "eval_chain",
-    "evolve",
-    "geo_altiset_oracle",
-    "increasing_decomposition",
-    "increasingness_index",
-    "inverse_altiset_measure",
-    "pairwise_elimination",
-    "quotient",
-    "record_events",
-    "rh_dominates",
-    "skyline_circular",
-    "skyline_contour",
-    "skyline_recursive",
-    "threshold_profile",
-    "union",
-    "upper_layers",
-    "voronoi_mu",
-]
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -18,7 +18,6 @@ from typing import Optional
 from . import __version__, datasets
 from .collective import collective_altiset
 from .dependence import (
-    PointSet2D,
     decreasingness_index,
     epsilon_of_indices,
     increasing_decomposition,

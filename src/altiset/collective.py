@@ -5,7 +5,8 @@ threshold; a subset dominates when it is at least as good at every
 threshold and strictly better at one.  The threshold-count key vectors
 make the dominance relation a system of linearly induced orders, so the
 significant members are the Pareto maxima of the (members x thresholds)
-profile matrix; a simple pairwise elimination pass is a second route.
+profile matrix; pairwise elimination is a second route, one pass over the
+same matrix that keeps an antichain of survivors.
 """
 
 from __future__ import annotations
@@ -80,41 +81,31 @@ def rh_dominates(m: Iterable, n: Iterable, ground: ValuedGroundSet) -> bool:
     return any(a < b for a, b in zip(pm, pn))
 
 
+def _profiles(family: SubsetFamily) -> np.ndarray:
+    """(members, thresholds) matrix of threshold profiles.  The counts
+    compare the valuations themselves: as floats, 2**53 + 1 and 2**53 tie.
+    An empty ground set gives (members, 0) profiles: everything ties."""
+    return np.array([threshold_profile(m, family.ground) for m in family.members], dtype=np.int64)
+
+
 def collective_altiset(family: SubsetFamily) -> frozenset[int]:
     """Indices of significant members: the Pareto maxima of their threshold
     profiles."""
-    profiles = [threshold_profile(m, family.ground) for m in family.members]
-    # an empty ground set gives (members, 0) profiles: everything ties
-    keys = np.array(profiles, dtype=np.int64)
-    return frozenset(np.flatnonzero(maxima(keys)).tolist())
+    return frozenset(np.flatnonzero(maxima(_profiles(family))).tolist())
 
 
 def pairwise_elimination(family: SubsetFamily) -> frozenset[int]:
-    """Single-pass strict-domination elimination over the member list."""
-    ground = family.ground
-    profiles = [threshold_profile(m, ground) for m in family.members]
-
-    def strictly_dominates(k: int, l: int) -> bool:
-        pk, pl = profiles[k], profiles[l]
-        return all(a >= b for a, b in zip(pk, pl)) and any(a > b for a, b in zip(pk, pl))
-
-    survivors = list(range(len(family.members)))
-    k = 0
-    while k < len(survivors):
-        l = k + 1
-        advanced = False
-        while l < len(survivors):
-            a, b = survivors[k], survivors[l]
-            if strictly_dominates(a, b):
-                survivors.pop(l)
-            elif strictly_dominates(b, a):
-                survivors.pop(k)
-                advanced = True
-                break
-            else:
-                l += 1
-        if not advanced:
-            k += 1
+    """Single pass over the members: each joins the survivors unless one of
+    them dominates it, and drops the survivors it dominates.  Dominance is
+    transitive, so a maximal member, once in, is never dropped and keeps
+    out every member it dominates."""
+    profiles = _profiles(family)
+    survivors: list[int] = []
+    for k, row in enumerate(profiles):
+        rivals = profiles[survivors]
+        geq, leq = (rivals >= row).all(axis=1), (rivals <= row).all(axis=1)
+        if not (geq & ~leq).any():
+            survivors = [s for s, beaten in zip(survivors, leq & ~geq) if not beaten] + [k]
     return frozenset(survivors)
 
 

@@ -238,13 +238,19 @@ def emit_order_system(system: OrderSystem) -> str:
 # -- CSV helpers ----------------------------------------------------------
 
 
+def _csv_rows(text: str):
+    """(line number, cells) of each CSV row that has a non-blank cell; a
+    row whose quoted cell spans lines is numbered by its last line."""
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
+        if any(c.strip() for c in row):
+            yield reader.line_num, row
+
+
 def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tuple[float, ...]]:
     """Rows of exactly `columns` finite numeric cells; one header row tolerated."""
     rows: list[tuple[float, ...]] = []
-    reader = csv.reader(io.StringIO(text))
-    for lineno, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for kept, (lineno, row) in enumerate(_csv_rows(text)):
         if len(row) != columns:
             raise ParseError(
                 f"line {lineno}: expected {columns} columns ({', '.join(names)}), got {len(row)}"
@@ -252,7 +258,7 @@ def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tup
         try:
             values = tuple(float(c) for c in row)
         except ValueError as exc:
-            if lineno == 1:
+            if kept == 0:
                 continue  # header row
             raise ParseError(f"line {lineno}: non-numeric cell in {row}") from exc
         if not all(map(math.isfinite, values)):
@@ -283,11 +289,7 @@ def emit_points_csv(points: PointSet2D) -> str:
 def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> SummitField:
     """Columns x,h (real line) or x,y,h (plane); space inferred from width
     unless given."""
-    first_width = None
-    for line in text.splitlines():
-        if line.strip():
-            first_width = len(next(csv.reader([line])))
-            break
+    first_width = next((len(row) for _, row in _csv_rows(text)), None)
     if first_width not in (2, 3):
         raise ParseError("expected 2 (x,h) or 3 (x,y,h) columns")
     if first_width == 3:

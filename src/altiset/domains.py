@@ -3,8 +3,10 @@
 The abstract measure is realized as a fixed deterministic grid of cell
 centers: measures are exact multiples of the cell area, so the valuation
 evolution has a finite image and its fixed point is detected by exact
-equality.  `evolve` builds the summit-to-cell squared distances once and
-runs each step as one pass of running minima over the summits in
+equality.  A summit's significance domain is read off two per-cell
+minima of the summit-to-cell squared distances, over the higher summits
+and over the others of its height.  `evolve` builds those distances once
+and runs each step as one pass of running minima over the summits in
 descending valuation order: O(n·cells) per step, not the O(n²·cells) of
 calling `voronoi_mu` once per summit.
 """
@@ -120,20 +122,16 @@ def inverse_altiset_mask(
     a: int,
     grid: GridMeasure,
 ) -> np.ndarray:
-    """Boolean mask over grid cells whose reference point keeps a significant."""
+    """Boolean mask over grid cells whose reference point keeps a significant:
+    its squared distance is below that of every higher summit and no more
+    than that of every other summit of its height."""
     if not (0 <= a < len(summits)):
         raise IndexError(f"summit index {a} out of range")
     sq = _sq_dists(grid, summits)
     h = np.array(altitudes, dtype=float)
-    da = sq[a]
-    ha = h[a]
-    dominated = np.zeros(sq.shape[1], dtype=bool)
-    for b in range(len(summits)):
-        if b == a:
-            continue
-        db = sq[b]
-        dominated |= (h[b] >= ha) & (db <= da) & ((h[b] > ha) | (db < da))
-    return ~dominated
+    higher = sq[h > h[a]].min(axis=0, initial=np.inf)
+    level = sq[(h == h[a]) & (np.arange(len(h)) != a)].min(axis=0, initial=np.inf)
+    return (sq[a] < higher) & (sq[a] <= level)
 
 
 def inverse_altiset_measure(

@@ -7,7 +7,9 @@ indistinguishability carries a strict characteristic order whose maxima are
 exactly the significant classes.  So the altiset of a system is the set of
 Pareto maxima of its key columns, and `maxima` computes it for order
 systems, collective comparison, geographic skylines and record events.
-`pareto_layers` peels two columns into successive maxima.
+`quotient` reads the class order off the key ranks of one member per
+class, and `pareto_layers` peels two columns into successive maxima.
+`system_union` builds the dense union relation as a reference.
 """
 
 from __future__ import annotations
@@ -143,12 +145,6 @@ class QuotientView:
     class_order: FiniteRelation
     maximal_classes: frozenset[int]
 
-    def class_of(self, element: int) -> int:
-        for k, cls in enumerate(self.classes):
-            if element in cls:
-                return k
-        raise IndexError(f"element {element} in no class")
-
 
 def system_union(system: OrderSystem) -> FiniteRelation:
     """R = union of the reflexive relations of all orders."""
@@ -170,19 +166,20 @@ def indistinguishability(system: OrderSystem) -> tuple[tuple[int, ...], ...]:
 
 def quotient(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> QuotientView:
     """Indistinguishability classes + strict characteristic order + maxima,
-    over the subset (default: the whole universe)."""
+    over the subset (default: the whole universe).  Read off the key ranks
+    of each class's first member: class i lies below class j, as in
+    `system_union`, when j ranks higher in some column."""
     classes = indistinguishability(system)
     if subset is not None:
         keep = set(system.universe.check_subset(subset))
         kept = (tuple(a for a in c if a in keep) for c in classes)
         classes = tuple(sorted((c for c in kept if c), key=lambda c: c[0]))
-    reps = [c[0] for c in classes]
-    class_rel = FiniteRelation(
-        Universe(len(classes)), system_union(system).adjacency[np.ix_(reps, reps)]
-    )
-    class_order = class_rel.asym_interior()
-    maximal = frozenset(np.flatnonzero(~class_order.adjacency.any(axis=1)).tolist())
-    return QuotientView(classes, class_order, maximal)
+    ranks = _ranks(system)[[c[0] for c in classes]]
+    below = np.zeros((len(classes), len(classes)), dtype=bool)
+    for col in ranks.T:  # one column at a time: no classes^2 x orders temporary
+        below |= col[:, None] < col[None, :]
+    class_order = FiniteRelation(Universe(len(classes)), below & ~below.T)
+    return QuotientView(classes, class_order, frozenset(np.flatnonzero(maxima(ranks)).tolist()))
 
 
 def _ranks(system: OrderSystem) -> np.ndarray:

@@ -86,6 +86,13 @@ def test_skyline_records_on_real_line(capsys):
     ]) == EXIT_IO  # 3-column file parses as planar, records need real line
 
 
+def test_skyline_skips_a_first_row_of_blank_cells(tmp_path, capsys):
+    path = tmp_path / "blank_first.csv"
+    path.write_text(",\n0,0,5\n1,1,3\n")
+    assert main(["--no-timestamp", "skyline", str(path), "--ref", "0,0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["altiset"] == [0]
+
+
 def test_evolve_trace_file(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     assert main([

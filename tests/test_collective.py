@@ -114,6 +114,15 @@ class TestCollectiveAltiset:
         # no thresholds: every profile is the empty tuple and all members tie
         family = SubsetFamily(ValuedGroundSet((), {}), (frozenset(), frozenset()))
         assert collective_altiset(family) == collective_altiset_bruteforce(family) == {0, 1}
+        assert pairwise_elimination(family) == {0, 1}
+
+    def test_valuations_compare_exactly(self):
+        # as floats the two valuations tie and both members would survive
+        g = ValuedGroundSet(("a", "b"), {"a": 2**53 + 1, "b": 2**53})
+        family = SubsetFamily(g, (frozenset("a"), frozenset("b")))
+        assert collective_altiset(family) == {0}
+        assert pairwise_elimination(family) == {0}
+        assert collective_altiset_bruteforce(family) == {0}
 
     def test_matches_pairwise_elimination_at_scale(self, rng):
         elements = tuple(f"e{i}" for i in range(40))

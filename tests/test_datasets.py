@@ -329,6 +329,10 @@ class TestPointsCsv:
         with pytest.raises(ParseError, match="line 3"):
             datasets.parse_points_csv(read("bad_cell.csv"))
 
+    def test_line_numbers_count_lines_inside_quoted_cells(self):
+        with pytest.raises(ParseError, match="line 5"):
+            datasets.parse_points_csv('x,y\n"1\n",2\n3,4\n5,z\n')
+
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match="columns"):
             datasets.parse_points_csv("1,2,3\n")
@@ -355,6 +359,16 @@ class TestSummitsCsv:
             datasets.emit_summits_csv(field), field.reference
         )
         assert again == field
+
+    def test_blank_cells_do_not_set_the_width(self):
+        # a row of empty cells is skipped by the reader, so it cannot pick the space
+        field = datasets.parse_summits_csv(",,\n1,5\n2,3\n", 0.0)
+        assert field.space == REAL_LINE
+        assert field.summits == (1.0, 2.0)
+
+    def test_header_after_blank_rows(self):
+        field = datasets.parse_summits_csv("\n,,\nx,h\n1,5\n2,3\n", 0.0)
+        assert field.summits == (1.0, 2.0)
 
     def test_round_trip_real_line(self):
         field = datasets.parse_summits_csv("x,h\n1,5\n2,3\n", 0.0)

@@ -24,7 +24,7 @@ from altiset.orders import (
 )
 from altiset.relation import FiniteRelation, Universe, _levels, altiset_bruteforce, union
 
-from conftest import random_system
+from conftest import peak_bytes, random_system
 
 
 def system(size, *orders):
@@ -253,6 +253,28 @@ class TestQuotient:
             assert view.maximal_classes == whole.maximal_classes
             chosen = {a for k in view.maximal_classes for a in view.classes[k]}
             assert chosen == altiset_bruteforce(system_union(sys_), idx)
+
+    def test_matches_dense_union_route(self, rng):
+        for _ in range(6):
+            n = rng.randint(200, 400)
+            sys_ = OrderSystem(Universe(n), tuple(
+                KeyedOrder(tuple(rng.randint(0, 5) for _ in range(n)), rng.choice([GAIN, PRICE]))
+                for _ in range(rng.randint(1, 3))
+            ))
+            idx = [i for i in range(n) if rng.random() < 0.7]
+            view = quotient(sys_, idx)
+            reps = [c[0] for c in view.classes]
+            dense = FiniteRelation(
+                Universe(len(reps)), system_union(sys_).adjacency[np.ix_(reps, reps)]
+            ).asym_interior()
+            assert view.class_order == dense
+            assert view.maximal_classes == set(np.flatnonzero(~dense.adjacency.any(axis=1)).tolist())
+
+    def test_memory_stays_below_one_boolean_matrix(self):
+        n = 3000
+        keys = np.random.default_rng(3).integers(0, 4, size=(3, n)).tolist()
+        sys_ = OrderSystem(Universe(n), tuple(KeyedOrder(k, GAIN) for k in keys))
+        assert peak_bytes(quotient, sys_) < n * n  # the union relation alone takes n*n bytes
 
 
 class TestAltisetOfSystem:

@@ -1,0 +1,74 @@
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import altiset
+
+PUBLIC = [
+    "AltisetError", "FiniteRelation", "GridMeasure", "KeyedOrder", "LayerDecomposition",
+    "OrderSystem", "PointSet2D", "SubsetFamily", "SummitField", "Universe", "ValuationTrace",
+    "ValuedGroundSet", "altiset_of_system", "chain_coloring", "collective_altiset",
+    "decompose_altiset", "decreasingness_index", "epsilon", "eval_chain", "evolve",
+    "geo_altiset_oracle", "increasing_decomposition", "increasingness_index",
+    "inverse_altiset_measure", "pairwise_elimination", "quotient", "record_events",
+    "rh_dominates", "skyline_circular", "skyline_contour", "skyline_recursive",
+    "threshold_profile", "union", "upper_layers", "voronoi_mu",
+]
+
+
+def load_tracing():
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExports:
+    def test_public_names_in_order(self):
+        assert altiset.__all__ == PUBLIC
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_name_is_its_home_modules_object(self, name):
+        obj = getattr(altiset, name)
+        assert obj.__module__.startswith("altiset.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+
+    def test_star_import_binds_every_name(self):
+        scope: dict = {}
+        exec("from altiset import *", scope)
+        assert sorted(k for k in scope if k != "__builtins__") == sorted(PUBLIC)
+
+    @pytest.mark.parametrize("name", ["no_such_name", "maxima"])
+    def test_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(altiset, name)
+
+    def test_submodule_import_loads_only_its_dependencies(self):
+        code = "import sys, altiset.relation; print(' '.join(sorted(sys.modules)))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(altiset.__file__).parents[1])},
+        ).stdout.split()
+        assert "altiset.relation" in out
+        for module in ("orders", "collective", "dependence", "geoalt", "domains", "datasets", "cli"):
+            assert f"altiset.{module}" not in out
+
+
+class TestTracingTargets:
+    """Every function the benchmark tracer wraps still exists under its name."""
+
+    @pytest.mark.parametrize("target", load_tracing().TARGETS, ids=lambda t: t[0])
+    def test_target_resolves(self, target):
+        _, module, attr, _ = target
+        home = importlib.import_module(f"altiset.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in getattr(home, cls_name).__dict__
+        else:
+            assert callable(getattr(home, attr))
