@@ -86,11 +86,9 @@ def _parse_ref(spec: str) -> tuple:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"bad reference {spec!r}: {exc}") from exc
-    if len(values) == 1:
-        return (values[0],)
-    if len(values) == 2:
-        return (values[0], values[1])
-    raise ParseError(f"reference must be X or X,Y, got {spec!r}")
+    if len(values) not in (1, 2):
+        raise ParseError(f"reference must be X or X,Y, got {spec!r}")
+    return tuple(values)
 
 
 def _default_resolution() -> int:
@@ -194,16 +192,15 @@ def _run_skyline(args, text):
     reference = ref if len(ref) == 2 else ref[0]
     space = EUCLIDEAN_2D if len(ref) == 2 else REAL_LINE
     field = datasets.parse_summits_csv(text, reference, space)
-    if args.method == "circular":
-        chosen = skyline_circular(field)
-    elif args.method == "contour":
-        chosen = skyline_contour(field)
-    elif args.method == "recursive":
-        chosen = skyline_recursive(field, args.block_size)
-    elif args.method == "records":
-        chosen = record_events_field(field)
-    else:
-        chosen = geo_altiset_oracle(field)
+    # built per call, so functions rebound in this module's globals are the ones called
+    routes = {
+        "oracle": geo_altiset_oracle,
+        "circular": skyline_circular,
+        "contour": skyline_contour,
+        "recursive": lambda f: skyline_recursive(f, args.block_size),
+        "records": record_events_field,
+    }
+    chosen = routes[args.method](field)
     settings = {
         "block_size": args.block_size if args.method == "recursive" else None,
         "distance_ties": "exact",

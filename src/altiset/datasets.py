@@ -61,8 +61,7 @@ def _finite_float(v, name: str) -> float:
     raise ParseError(f"{name} must be a finite number")
 
 
-_CLASSES = bytes.maketrans(b"123456789", b"000000000")
-_DIGITS = bytes(48 <= c <= 57 for c in range(256))
+_CLASSES = bytes.maketrans(b"0123456789\t\n\r", b"0000000000   ")
 _DECODER = json.JSONDecoder()
 _skip_ws = json.decoder.WHITESPACE.match
 _CHUNK = 1 << 16  # characters per slice of a "pairs" scan
@@ -94,21 +93,17 @@ def _scan_pairs(text: str, i: int) -> tuple[np.ndarray, int]:
 def _scan_slice(raw: bytes, first: bool, last: bool, out: np.ndarray) -> int:
     """Read the indices of one slice, which ends just after a ']', into the
     head of out and return how many there are.  The first slice opens the
-    list; the last one closes it and may hold no pair."""
-    packed = raw.translate(_CLASSES, b" \t\n\r")  # digits read '0', blanks dropped
-    if len(packed) < len(raw):
-        # dropping a blank inside a number would merge two digit runs into one
-        if _digit_runs(packed) != _digit_runs(raw):
-            raise ValueError("not a list of index pairs")
-        raw = raw.translate(None, b" \t\n\r")  # the work below runs on the blank-free bytes
-    cls = np.frombuffer(packed, np.uint8)
+    list; the last one closes it and may hold no pair.  One pass classifies
+    the bytes with blanks in place, so a blank inside a number leaves two
+    digit runs and fails the ",[0,0]" shape."""
+    cls = np.frombuffer(raw.translate(_CLASSES), np.uint8)  # digits read '0', blanks ' '
     digit = cls == 48
-    keep = np.ones_like(digit)
-    keep[1:] = ~(digit[1:] & digit[:-1])  # one '0' per digit run
+    keep = cls != 32
+    keep[1:] &= ~(digit[1:] & digit[:-1])  # no blank, and one '0' per digit run
     shape = b",[0,0]" * (np.count_nonzero(keep) // 6)
     shape = (b"[" + shape[1:] if first else shape) + (b"]" if last else b"")
     starts = np.flatnonzero(digit & keep)
-    lengths = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts  # packed ends in ']'
+    lengths = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts  # raw ends in ']'
     chars = np.frombuffer(raw, np.uint8)
     if (
         cls[keep].tobytes() != shape
@@ -121,12 +116,6 @@ def _scan_slice(raw: bytes, first: bool, last: bool, out: np.ndarray) -> int:
     for k in range(lengths.max(initial=0)):
         np.copyto(part, part * 10 + chars.take(starts + k, mode="clip") - 48, where=lengths > k)
     return starts.size
-
-
-def _digit_runs(raw: bytes) -> int:
-    """How many runs of digits follow another byte in raw."""
-    digit = np.frombuffer(raw.translate(_DIGITS), np.uint8)  # 1 for a digit, else 0
-    return np.count_nonzero(digit[1:] > digit[:-1])
 
 
 def _scan_relation(text: str) -> Optional[dict]:
@@ -289,24 +278,19 @@ def emit_points_csv(points: PointSet2D) -> str:
 def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> SummitField:
     """Columns x,h (real line) or x,y,h (plane); space inferred from width
     unless given."""
-    first_width = next((len(row) for _, row in _csv_rows(text)), None)
-    if first_width not in (2, 3):
+    width = next((len(row) for _, row in _csv_rows(text)), None)
+    if width not in (2, 3):
         raise ParseError("expected 2 (x,h) or 3 (x,y,h) columns")
-    if first_width == 3:
-        if space is not None and space != EUCLIDEAN_2D:
-            raise ParseError(f"3 columns (x,y,h) need a planar space, not {space}")
-        rows = _read_numeric_csv(text, 3, ("x", "y", "h"))
-        summits = tuple((r[0], r[1]) for r in rows)
-        kind = EUCLIDEAN_2D
-    else:
-        if space == EUCLIDEAN_2D:
-            raise ParseError("planar space needs 3 columns (x,y,h), got 2")
-        rows = _read_numeric_csv(text, 2, ("x", "h"))
-        summits = tuple(r[0] for r in rows)
-        kind = space or REAL_LINE
+    planar = width == 3
+    names = ("x", "y", "h") if planar else ("x", "h")
+    if space is not None and (space == EUCLIDEAN_2D) != planar:
+        raise ParseError(f"{width} columns ({','.join(names)}) do not fit a {space} space")
+    rows = _read_numeric_csv(text, width, names)
     if not rows:
         raise ParseError("no data rows")
+    summits = tuple(r[:2] if planar else r[0] for r in rows)
     altitudes = tuple(r[-1] for r in rows)
+    kind = EUCLIDEAN_2D if planar else space or REAL_LINE
     try:
         return SummitField(kind, summits, altitudes, reference)
     except AltisetError as exc:
@@ -314,16 +298,12 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
 
 
 def emit_summits_csv(field: SummitField) -> str:
+    planar = field.space == EUCLIDEAN_2D
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if field.space == EUCLIDEAN_2D:
-        writer.writerow(["x", "y", "h"])
-        for (x, y), h in zip(field.summits, field.altitudes):
-            writer.writerow([repr(x), repr(y), repr(h)])
-    else:
-        writer.writerow(["x", "h"])
-        for x, h in zip(field.summits, field.altitudes):
-            writer.writerow([repr(x), repr(h)])
+    writer.writerow(["x", "y", "h"] if planar else ["x", "h"])
+    for s, h in zip(field.summits, field.altitudes):
+        writer.writerow(map(repr, (*s, h) if planar else (s, h)))
     return out.getvalue()
 
 

@@ -152,14 +152,15 @@ def system_union(system: OrderSystem) -> FiniteRelation:
 
 
 def indistinguishability(system: OrderSystem) -> tuple[tuple[int, ...], ...]:
-    """Partition by equality under every key function.
+    """Partition by equality under every key function, keys compared as
+    `_ranks` compares them (mixed integers and floats as float64); keys it
+    cannot order raise TypeError, as in `quotient` and `altiset_of_system`.
 
     Classes are ordered (and indexed) by their smallest member.
     """
     groups: dict[tuple, list[int]] = {}
-    for a in range(system.universe.size):
-        sig = tuple(o.keys[a] for o in system.orders)
-        groups.setdefault(sig, []).append(a)
+    for a, sig in enumerate(_ranks(system).tolist()):
+        groups.setdefault(tuple(sig), []).append(a)
     classes = sorted(groups.values(), key=lambda c: c[0])
     return tuple(tuple(c) for c in classes)
 

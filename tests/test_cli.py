@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altiset.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from altiset.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
 from conftest import peak_bytes
+from test_package import load_tracing
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +85,53 @@ def test_skyline_records_on_real_line(capsys):
         "--no-timestamp", "skyline", str(FIXTURES / "summits.csv"),
         "--ref", "0", "--method", "records",
     ]) == EXIT_IO  # 3-column file parses as planar, records need real line
+
+
+def skyline_methods():
+    """The --method choices of `altiset skyline`, as build_parser lists them."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices["skyline"]
+    return next(a for a in sub._actions if a.dest == "method").choices
+
+
+def skyline_argv(method, tmp_path):
+    """`altiset skyline` with `method` on an input that fits it: record
+    events need a real line, the other methods get the planar fixture."""
+    path, ref = FIXTURES / "summits.csv", "0,0"
+    if method == "records":
+        path, ref = tmp_path / "line.csv", "0"
+        path.write_text("x,h\n-1,7\n1,5\n2,9\n")
+    return ["--no-timestamp", "skyline", str(path), "--ref", ref, "--method", method]
+
+
+@pytest.mark.parametrize("method", skyline_methods())
+def test_every_skyline_method_runs(method, tmp_path, capsys):
+    assert main(skyline_argv(method, tmp_path)) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["meta"]["settings"]["method"] == method
+
+
+@pytest.mark.parametrize("method", skyline_methods())
+def test_skyline_method_calls_its_route_through_the_module_globals(method, tmp_path, capsys):
+    # the benchmark tracer rebinds cli's globals; a route table built at
+    # import time would call the unwrapped function and record no span
+    route = "geoalt.records_field" if method == "records" else f"geoalt.{method}"
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(skyline_argv(method, tmp_path)) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    assert route in [span[0] for span in tracer.spans]
+
+
+@pytest.mark.parametrize("text,ref,message", [
+    ("x,h\n1,5\n2,3\n", "0,0", "2 columns (x,h) do not fit a euclidean-2d space"),
+    ("x,y,h\n0,0,5\n1,1,3\n", "0", "3 columns (x,y,h) do not fit a real-line space"),
+])
+def test_summit_width_must_fit_the_reference(text, ref, message, tmp_path, capsys):
+    path = tmp_path / "summits.csv"
+    path.write_text(text)
+    assert main(["--no-timestamp", "skyline", str(path), "--ref", ref]) == EXIT_IO
+    assert f"parse error: {message}" in capsys.readouterr().err
 
 
 def test_skyline_skips_a_first_row_of_blank_cells(tmp_path, capsys):

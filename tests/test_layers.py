@@ -382,6 +382,13 @@ class TestLongestChain:
         with pytest.raises(NotAStrictOrderError):
             longest_chain(rel(3, [(0, 1), (1, 2)]))  # not transitive
 
+    def test_large_total_order_without_an_implied_pair_rejected(self):
+        order = FiniteRelation.induce(Universe(1200), list(range(1200)))
+        adj = order.adjacency.copy()
+        adj[300, 900] = adj[900, 300] = False  # implied through any element between
+        with pytest.raises(NotAStrictOrderError, match="not transitive"):
+            longest_chain(FiniteRelation(order.universe, adj))
+
     def test_matches_exhaustive_enumeration(self, rng):
         for _ in range(60):
             n = rng.randint(1, 7)
