@@ -5,8 +5,9 @@ centers: measures are exact multiples of the cell area, so the valuation
 evolution has a finite image and its fixed point is detected by exact
 equality.  A summit's significance domain is read off two per-cell
 minima of the summit-to-cell squared distances, over the higher summits
-and over the others of its height.  `evolve` builds those distances once
-and runs each step as one pass of running minima over the summits in
+and over the others of its height.  `evolve` builds those distances once,
+in place row by row, so they peak at one (summits, cells) matrix, and
+runs each step as one pass of running minima over the summits in
 descending valuation order: O(n·cells) per step, not the O(n²·cells) of
 calling `voronoi_mu` once per summit.
 """
@@ -73,7 +74,7 @@ class GridMeasure:
     ) -> "GridMeasure":
         """Bounding box of the points inflated per side; degenerate spans
         get a unit pad so single points still produce a box."""
-        if not points:
+        if len(points) == 0:
             raise GridError("cannot build a grid around zero points")
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
@@ -93,11 +94,16 @@ class GridMeasure:
 
 def _sq_dists(grid: GridMeasure, summits: Sequence[tuple[float, float]]) -> np.ndarray:
     """Squared distance from every summit to every cell center: (summits, cells),
-    one contiguous row per summit."""
+    one contiguous row per summit.  Each row is filled in place as
+    `(gx - x)**2 + (gy - y)**2`, the same float operations in the same
+    order, so the peak is the matrix plus one scratch row."""
     gx, gy = grid.centers()
-    sx = np.array([s[0] for s in summits])
-    sy = np.array([s[1] for s in summits])
-    return (gx[None, :] - sx[:, None]) ** 2 + (gy[None, :] - sy[:, None]) ** 2
+    sq = np.empty((len(summits), gx.size))
+    dy = np.empty(gx.size)
+    for row, s in zip(sq, summits):
+        np.square(np.subtract(gx, s[0], out=row), out=row)
+        row += np.square(np.subtract(gy, s[1], out=dy), out=dy)
+    return sq
 
 
 def inverse_altiset_member(

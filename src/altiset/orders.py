@@ -6,7 +6,8 @@ reflexive order <=_f, a price order its inverse.  The quotient by
 indistinguishability carries a strict characteristic order whose maxima are
 exactly the significant classes.  So the altiset of a system is the set of
 Pareto maxima of its key columns, and `maxima` computes it for order
-systems, collective comparison, geographic skylines and record events.
+systems, collective comparison, geographic skylines and record events,
+by one sweep for at most two columns and a block filter for more.
 `quotient` reads the class order off the key ranks of one member per
 class, and `pareto_layers` peels two columns into successive maxima.
 `system_union` builds the dense union relation as a reference.
@@ -38,31 +39,41 @@ def maxima(keys) -> np.ndarray:
     >= in every column and > in one, so equal rows never dominate each
     other and with k = 0 every row is kept.  The rows are sorted in
     descending lexicographic order, which puts every dominator before the
-    rows it dominates (Kung, Luccio and Preparata, JACM 1975).  Then each
-    block of sorted rows is compared, column by column, with the maxima
-    found so far and with itself; no (n, n) matrix is built.  NaN keys
-    raise NonFiniteError, because the sort needs a total order.
+    rows it dominates (Kung, Luccio and Preparata, JACM 1975).  With
+    k <= 2 one sweep follows: a group of equal rows is dominated when the
+    best last column before the group reaches its own, O(n log n) time
+    and O(n) memory.  The block filter is the k >= 3 route: each block of
+    sorted rows is compared, column by column, with the maxima found so
+    far and with itself; no (n, n) matrix is built.  NaN keys raise
+    NonFiniteError, because the sort needs a total order.
     """
     keys = np.asarray(keys)
     n, k = keys.shape
-    if keys.dtype.kind == "f" and np.isnan(keys).any():
+    if keys.dtype.kind in "fO" and (keys != keys).any():  # NaN alone is != itself
         raise NonFiniteError("keys must not be NaN")
     if n == 0 or k == 0:
         return np.ones(n, dtype=bool)
     order = np.lexsort(keys.T[::-1])[::-1]
     ranked = keys[order]
-    kept = np.empty(0, dtype=np.intp)  # positions in ranked of the maxima so far
-    for start in range(0, n, _BLOCK):
-        block = ranked[start : start + _BLOCK]
-        rivals = np.concatenate([ranked[kept], block])
-        geq = np.ones((len(block), len(rivals)), dtype=bool)
-        same = geq.copy()
-        for c in range(k):
-            theirs, mine = rivals[None, :, c], block[:, c, None]
-            geq &= theirs >= mine
-            same &= theirs == mine
-        dominated = (geq & ~same).any(axis=1)
-        kept = np.concatenate([kept, start + np.flatnonzero(~dominated)])
+    if k <= 2:
+        starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+        tops = ranked[starts, -1]  # a group's rows are equal: one last column each
+        del ranked  # keeps the peak at a few index arrays
+        rises = np.r_[True, np.maximum.accumulate(tops)[:-1] < tops[1:]]
+        kept = np.flatnonzero(np.repeat(rises, np.diff(starts, append=n)))
+    else:  # the block filter
+        kept = np.empty(0, dtype=np.intp)  # positions in ranked of the maxima so far
+        for start in range(0, n, _BLOCK):
+            block = ranked[start : start + _BLOCK]
+            rivals = np.concatenate([ranked[kept], block])
+            geq = np.ones((len(block), len(rivals)), dtype=bool)
+            same = geq.copy()
+            for c in range(k):
+                theirs, mine = rivals[None, :, c], block[:, c, None]
+                geq &= theirs >= mine
+                same &= theirs == mine
+            dominated = (geq & ~same).any(axis=1)
+            kept = np.concatenate([kept, start + np.flatnonzero(~dominated)])
     mask = np.zeros(n, dtype=bool)
     mask[order[kept]] = True
     return mask
@@ -78,7 +89,7 @@ def pareto_layers(keys) -> np.ndarray:
     O(n) memory.  NaN keys raise NonFiniteError.
     """
     keys = np.asarray(keys)
-    if keys.dtype.kind == "f" and np.isnan(keys).any():
+    if keys.dtype.kind in "fO" and (keys != keys).any():
         raise NonFiniteError("keys must not be NaN")
     order = np.lexsort((keys[:, 1], keys[:, 0]))[::-1]
     ranked = keys[order]

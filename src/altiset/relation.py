@@ -134,9 +134,11 @@ class FiniteRelation:
         return FiniteRelation(self.universe, self.adjacency & ~self.adjacency.T)
 
     def transitive_closure(self) -> "FiniteRelation":
-        adj = self.adjacency.copy()
+        """Squares in float32, whose path counts are exact while n < 2**24."""
+        adj = self.adjacency
         while True:
-            step = adj | (adj @ adj)
+            a = adj.astype(np.float32)
+            step = adj | (a @ a > 0)
             if np.array_equal(step, adj):
                 return FiniteRelation(self.universe, adj)
             adj = step

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,8 @@ from altiset.domains import (
     inverse_altiset_member,
     voronoi_mu,
 )
+
+from conftest import peak_bytes
 
 
 def grid(box=4.0, n=32):
@@ -81,6 +84,15 @@ class TestGridMeasure:
     def test_around_single_point_is_nondegenerate(self):
         g = GridMeasure.around([(3, 3)], nx=4)
         assert g.xmax > g.xmin and g.ymax > g.ymin
+
+    def test_around_takes_an_array(self):
+        points = [(0.0, 0.0), (1.0, 1.0)]
+        assert GridMeasure.around(np.array(points), nx=4) == GridMeasure.around(points, nx=4)
+
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 2))])
+    def test_around_zero_points_is_rejected(self, points):
+        with pytest.raises(GridError, match="zero points"):
+            GridMeasure.around(points)
 
     def test_centers_are_deterministic(self):
         g = grid(n=4)
@@ -224,6 +236,13 @@ class TestEvolve:
             summits = random_summits(rng, rng.randint(1, 5))
             total = sum(voronoi_mu(x, [], summits, g) for x in range(len(summits)))
             assert total >= g.box_area - 1e-9
+
+    def test_distances_peak_at_one_matrix(self, rng):
+        summits = random_summits(rng, 36, span=20)
+        h0 = [float(rng.randint(0, 5)) for _ in summits]
+        g = GridMeasure.around(summits, nx=128)
+        # one (summits, cells) float64 matrix, and a quarter of it for the rest
+        assert peak_bytes(evolve, summits, h0, g) < 1.25 * 36 * 128 * 128 * 8
 
     def test_step_limit_raises(self):
         # h0 (1, 1, 2) needs two steps: one to move, one to confirm

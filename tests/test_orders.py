@@ -79,6 +79,12 @@ class TestMaxima:
         with pytest.raises(NonFiniteError):
             maxima(np.array([[1.0, math.nan], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("kernel", [maxima, pareto_layers])
+    def test_nan_among_objects_is_rejected(self, kernel):
+        # neither dominates the other, but a NaN leaves the sort no total order
+        with pytest.raises(NonFiniteError):
+            kernel(np.array([[1, math.nan], [0, 0]], dtype=object))
+
     @pytest.mark.parametrize("n,orders,span", [
         (300, 3, 20),   # tie-heavy, few maxima
         (400, 2, 400),  # two random columns
@@ -106,7 +112,8 @@ class TestMaxima:
 
     def test_memory_stays_below_the_pairwise_matrix(self):
         n = 4000
-        keys = np.column_stack([np.arange(n), -np.arange(n)])
+        # the constant third column keeps this on the block filter
+        keys = np.column_stack([np.arange(n), -np.arange(n), np.zeros(n, dtype=int)])
         tracemalloc.start()
         try:
             assert maxima(keys).all()
@@ -114,6 +121,66 @@ class TestMaxima:
         finally:
             tracemalloc.stop()
         assert peak < n * n // 2  # one (n, n) boolean matrix would take n*n bytes
+
+
+# neighbours 1 ulp apart, signed zeros and small integers, so rows tie often
+ULP_VALUES = st.sampled_from(
+    [-1.0, -0.0, 0.0, float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0)), 1.0,
+     float(np.nextafter(1.0, 2.0)), 2.0]
+)
+DTYPE_VALUES = {
+    np.int64: st.integers(-2, 2),
+    np.float64: ULP_VALUES,
+    bool: st.booleans(),
+    object: st.one_of(st.integers(-2, 2), ULP_VALUES),
+}
+
+
+@st.composite
+def narrow_keys(draw):
+    """(n, k) keys with k <= 2 of one dtype: int, float, bool or object."""
+    n = draw(st.integers(0, 14))
+    k = draw(st.integers(0, 2))
+    dtype = draw(st.sampled_from(list(DTYPE_VALUES)))
+    rows = draw(st.lists(st.lists(DTYPE_VALUES[dtype], min_size=k, max_size=k), min_size=n, max_size=n))
+    return np.array(rows, dtype=dtype).reshape(n, k)
+
+
+def beats_relation(keys) -> FiniteRelation:
+    """a R b when b is larger than a in some column, compared as Python
+    values: its asymmetric interior is Pareto dominance."""
+    rows = keys.tolist()
+    beats = [[any(q > p for p, q in zip(a, b)) for b in rows] for a in rows]
+    return FiniteRelation(Universe(len(rows)), np.array(beats, dtype=bool).reshape(len(rows), len(rows)))
+
+
+class TestTwoColumnSweep:
+    @settings(max_examples=500, deadline=None)
+    @given(narrow_keys())
+    def test_matches_definitional_altiset(self, keys):
+        got = maxima(keys)
+        assert set(np.flatnonzero(got).tolist()) == altiset_bruteforce(beats_relation(keys))
+
+    @pytest.mark.parametrize("shape", ["all maximal", "random", "duplicates"])
+    def test_matches_block_filter_at_scale(self, shape):
+        n = 10_000
+        rng = np.random.default_rng(len(shape))
+        if shape == "all maximal":
+            a = rng.permutation(n)
+            keys = np.column_stack([a, -a])
+        elif shape == "random":
+            keys = rng.random((n, 2))
+        else:
+            keys = rng.integers(0, 30, (n, 2))
+        for k in (1, 2):
+            # a constant third column changes no dominance but takes the block filter
+            padded = np.column_stack([keys[:, :k], np.zeros((n, 3 - k), dtype=keys.dtype)])
+            assert maxima(keys[:, :k]).tolist() == maxima(padded).tolist()
+
+    def test_all_maximal_peak_is_linear(self):
+        n = 100_000
+        keys = np.column_stack([np.arange(n), -np.arange(n)])
+        assert peak_bytes(maxima, keys) < 64 * n
 
 
 @st.composite

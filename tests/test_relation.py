@@ -1,10 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
 from altiset.errors import DimensionError, SubsetIndexError
 from altiset.relation import FiniteRelation, Universe, altiset_bruteforce, union
 
-from conftest import random_relation
+from conftest import random_aa_relation, random_relation
 
 
 def rel(size, pairs):
@@ -121,6 +123,26 @@ class TestAdjustments:
     def test_transitive_closure_of_cycle_is_full(self):
         r = rel(3, [(0, 1), (1, 2), (2, 0)]).transitive_closure()
         assert r == FiniteRelation.full(Universe(3))
+
+    @pytest.mark.parametrize("shape", ["aa", "total", "cyclic"])
+    def test_transitive_closure_matches_bool_squaring(self, shape):
+        rng = random.Random(shape)
+        n = 300
+        perm = rng.sample(range(n), n)
+        if shape == "aa":
+            r = random_aa_relation(rng, n, density=0.005)
+        elif shape == "total":  # the covering chain: its closure is the total order
+            r = rel(n, list(zip(perm, perm[1:])))
+        else:  # a ring with a few chords
+            chords = [(rng.randrange(n), rng.randrange(n)) for _ in range(5)]
+            r = rel(n, list(zip(perm, perm[1:] + perm[:1])) + chords)
+        expected = r.adjacency
+        while True:
+            step = expected | (expected @ expected)
+            if np.array_equal(step, expected):
+                break
+            expected = step
+        assert np.array_equal(r.transitive_closure().adjacency, expected)
 
     def test_complementary_inversion_of_full_is_empty(self):
         assert FiniteRelation.full(Universe(3)).complementary_inversion() == rel(3, [])
