@@ -1,5 +1,10 @@
 """Command-line front end: ingest datasets, run one analysis, emit JSON.
 
+A job imports only what its subcommand runs: each runner imports its
+kernel module when it is called, and `datasets` imports a format's types
+in that format's parser.  The input digest comes from CPython's builtin
+sha256 (`_sha2` or `_sha256`), so no job loads OpenSSL through hashlib.
+
 Exit codes: 0 success, 1 domain error (cyclic relation, duplicate points,
 degenerate input), 2 I/O or parse error, 64 usage error.
 """
@@ -8,32 +13,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
 import time
 from typing import Optional
 
+# the builtin sha256 spares each job hashlib's OpenSSL import
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 from . import __version__, datasets
-from .collective import collective_altiset
-from .dependence import (
-    decreasingness_index,
-    epsilon_of_indices,
-    increasing_decomposition,
-)
-from .domains import DEFAULT_INFLATE, DEFAULT_RESOLUTION, GridMeasure, evolve
 from .errors import AltisetError, ParseError
-from .geoalt import (
-    EUCLIDEAN_2D,
-    REAL_LINE,
-    geo_altiset_oracle,
-    record_events_field,
-    skyline_circular,
-    skyline_contour,
-    skyline_recursive,
-)
-from .layers import upper_layers
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -56,7 +52,7 @@ def _read(path: str) -> tuple[str, str]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    return text, hashlib.sha256(raw).hexdigest()
+    return text, sha256(raw).hexdigest()
 
 
 def _document(command: str, digest: str, settings: dict, result: dict, timestamp: bool) -> str:
@@ -101,6 +97,8 @@ def _default_resolution() -> int:
         except ValueError:
             pass
         raise ParseError(f"ALTISET_GRID must be a positive integer, got {env!r}")
+    from .domains import DEFAULT_RESOLUTION
+
     return DEFAULT_RESOLUTION
 
 
@@ -136,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="measure-driven evolution of valuation")
     p.add_argument("input", help="CSV with columns x,y,h (h = initial valuation)")
     p.add_argument("--grid", default=None, help="resolution WxH (default 128x128)")
-    p.add_argument("--inflate", type=float, default=DEFAULT_INFLATE)
+    p.add_argument("--inflate", type=float, default=None, help="box margin per side (default 0.25)")
     p.add_argument("--max-steps", type=int, default=1000)
     p.add_argument("--trace", default=None, help="write the full trace JSON here")
     return parser
@@ -153,6 +151,8 @@ def _run_altiset(args, text):
 
 
 def _run_layers(args, text):
+    from .layers import upper_layers
+
     rel = datasets.parse_relation(text)
     decomp = upper_layers(rel)
     result = {
@@ -164,6 +164,8 @@ def _run_layers(args, text):
 
 
 def _run_correlate(args, text):
+    from .dependence import decreasingness_index, epsilon_of_indices, increasing_decomposition
+
     points = datasets.parse_points_csv(text)
     # one layering per direction: the blocks are the increasing layers
     blocks = increasing_decomposition(points)
@@ -178,6 +180,8 @@ def _run_correlate(args, text):
 
 
 def _run_collective(args, text):
+    from .collective import collective_altiset
+
     family = datasets.parse_family(text)
     indices = sorted(collective_altiset(family))
     result = {
@@ -188,17 +192,19 @@ def _run_collective(args, text):
 
 
 def _run_skyline(args, text):
+    from . import geoalt
+
     ref = _parse_ref(args.ref)
     reference = ref if len(ref) == 2 else ref[0]
-    space = EUCLIDEAN_2D if len(ref) == 2 else REAL_LINE
+    space = geoalt.EUCLIDEAN_2D if len(ref) == 2 else geoalt.REAL_LINE
     field = datasets.parse_summits_csv(text, reference, space)
-    # built per call, so functions rebound in this module's globals are the ones called
+    # read off the module per call, so functions rebound in geoalt are the ones called
     routes = {
-        "oracle": geo_altiset_oracle,
-        "circular": skyline_circular,
-        "contour": skyline_contour,
-        "recursive": lambda f: skyline_recursive(f, args.block_size),
-        "records": record_events_field,
+        "oracle": geoalt.geo_altiset_oracle,
+        "circular": geoalt.skyline_circular,
+        "contour": geoalt.skyline_contour,
+        "recursive": lambda f: geoalt.skyline_recursive(f, args.block_size),
+        "records": geoalt.record_events_field,
     }
     chosen = routes[args.method](field)
     settings = {
@@ -211,6 +217,10 @@ def _run_skyline(args, text):
 
 
 def _run_evolve(args, text):
+    from .domains import DEFAULT_INFLATE, GridMeasure, evolve
+    from .geoalt import EUCLIDEAN_2D
+
+    inflate = DEFAULT_INFLATE if args.inflate is None else args.inflate
     field = datasets.parse_summits_csv(text, (0.0, 0.0), EUCLIDEAN_2D)
     summits = field.summits
     if args.grid:
@@ -220,7 +230,7 @@ def _run_evolve(args, text):
             raise ParseError(f"bad grid spec {args.grid!r}; expected WxH") from exc
     else:
         nx = ny = _default_resolution()
-    grid = GridMeasure.around(summits, inflate=args.inflate, nx=nx, ny=ny)
+    grid = GridMeasure.around(summits, inflate=inflate, nx=nx, ny=ny)
     try:
         trace = evolve(summits, field.altitudes, grid, max_steps=args.max_steps)
     except MemoryError as exc:
@@ -228,7 +238,7 @@ def _run_evolve(args, text):
     settings = {
         "box": [grid.xmin, grid.xmax, grid.ymin, grid.ymax],
         "grid": [grid.nx, grid.ny],
-        "inflate": args.inflate,
+        "inflate": inflate,
         "max_steps": args.max_steps,
     }
     result = {

@@ -8,6 +8,9 @@ sized (m, 2) integer array, with no Python object per pair, when every entry
 is a plain digit run; beyond the text and that array, the parse holds one
 slice's temporaries.  Any other valid JSON goes through json.loads and gets
 the same answer and errors.
+
+Each parser and emitter imports the kernel types of its own format when
+called, so reading a relation loads neither skylines nor collectives.
 """
 
 from __future__ import annotations
@@ -16,16 +19,18 @@ import csv
 import io
 import json
 import math
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .collective import SubsetFamily, ValuedGroundSet
-from .dependence import PointSet2D
 from .errors import AltisetError, ParseError
-from .geoalt import EUCLIDEAN_2D, REAL_LINE, SummitField
-from .orders import KeyedOrder, OrderSystem
 from .relation import FiniteRelation, Universe
+
+if TYPE_CHECKING:
+    from .collective import SubsetFamily
+    from .dependence import PointSet2D
+    from .geoalt import SummitField
+    from .orders import OrderSystem
 
 
 def _load_json(text: str) -> dict:
@@ -191,6 +196,8 @@ def emit_relation(rel: FiniteRelation) -> str:
 
 
 def parse_order_system(text: str) -> OrderSystem:
+    from .orders import KeyedOrder, OrderSystem
+
     doc = _load_json(text)
     size = doc.get("size")
     if not _is_int(size) or size < 0:
@@ -257,6 +264,8 @@ def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tup
 
 
 def parse_points_csv(text: str) -> PointSet2D:
+    from .dependence import PointSet2D
+
     rows = _read_numeric_csv(text, 2, ("x", "y"))
     if not rows:
         raise ParseError("no data rows")
@@ -278,6 +287,8 @@ def emit_points_csv(points: PointSet2D) -> str:
 def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> SummitField:
     """Columns x,h (real line) or x,y,h (plane); space inferred from width
     unless given."""
+    from .geoalt import EUCLIDEAN_2D, REAL_LINE, SummitField
+
     width = next((len(row) for _, row in _csv_rows(text)), None)
     if width not in (2, 3):
         raise ParseError("expected 2 (x,h) or 3 (x,y,h) columns")
@@ -298,6 +309,8 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
 
 
 def emit_summits_csv(field: SummitField) -> str:
+    from .geoalt import EUCLIDEAN_2D
+
     planar = field.space == EUCLIDEAN_2D
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -311,6 +324,8 @@ def emit_summits_csv(field: SummitField) -> str:
 
 
 def parse_family(text: str) -> SubsetFamily:
+    from .collective import SubsetFamily, ValuedGroundSet
+
     doc = _load_json(text)
     elements = doc.get("elements")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):

@@ -5,9 +5,10 @@ centers: measures are exact multiples of the cell area, so the valuation
 evolution has a finite image and its fixed point is detected by exact
 equality.  A summit's significance domain is read off two per-cell
 minima of the summit-to-cell squared distances, over the higher summits
-and over the others of its height.  `evolve` builds those distances once,
-in place row by row, so they peak at one (summits, cells) matrix, and
-runs each step as one pass of running minima over the summits in
+and over the others of its height, taken one summit's row at a time, so
+it and `voronoi_mu` hold O(cells).  `evolve` builds those distances
+once, in place row by row, so they peak at one (summits, cells) matrix,
+and runs each step as one pass of running minima over the summits in
 descending valuation order: O(n·cells) per step, not the O(n²·cells) of
 calling `voronoi_mu` once per summit.
 """
@@ -92,17 +93,24 @@ class GridMeasure:
         )
 
 
+def _sq_row(gx: np.ndarray, gy: np.ndarray, s, out: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Squared distance from summit s to every cell center, written into
+    `out` as `(gx - x)**2 + (gy - y)**2` with `dy` as scratch, so every
+    caller gets bit-identical distances."""
+    np.square(np.subtract(gx, s[0], out=out), out=out)
+    out += np.square(np.subtract(gy, s[1], out=dy), out=dy)
+    return out
+
+
 def _sq_dists(grid: GridMeasure, summits: Sequence[tuple[float, float]]) -> np.ndarray:
     """Squared distance from every summit to every cell center: (summits, cells),
-    one contiguous row per summit.  Each row is filled in place as
-    `(gx - x)**2 + (gy - y)**2`, the same float operations in the same
-    order, so the peak is the matrix plus one scratch row."""
+    one contiguous row per summit, each filled in place by `_sq_row`, so
+    the peak is the matrix plus one scratch row."""
     gx, gy = grid.centers()
     sq = np.empty((len(summits), gx.size))
     dy = np.empty(gx.size)
     for row, s in zip(sq, summits):
-        np.square(np.subtract(gx, s[0], out=row), out=row)
-        row += np.square(np.subtract(gy, s[1], out=dy), out=dy)
+        _sq_row(gx, gy, s, row, dy)
     return sq
 
 
@@ -133,11 +141,19 @@ def inverse_altiset_mask(
     than that of every other summit of its height."""
     if not (0 <= a < len(summits)):
         raise IndexError(f"summit index {a} out of range")
-    sq = _sq_dists(grid, summits)
+    if len(altitudes) != len(summits):
+        raise DimensionError("altitudes length does not match summits")
     h = np.array(altitudes, dtype=float)
-    higher = sq[h > h[a]].min(axis=0, initial=np.inf)
-    level = sq[(h == h[a]) & (np.arange(len(h)) != a)].min(axis=0, initial=np.inf)
-    return (sq[a] < higher) & (sq[a] <= level)
+    gx, gy = grid.centers()
+    mine, row, dy = np.empty(gx.size), np.empty(gx.size), np.empty(gx.size)
+    _sq_row(gx, gy, summits[a], mine, dy)
+    # each competitor's row in turn into its running minimum: O(cells) beside the grid
+    higher, level = np.full(gx.size, np.inf), np.full(gx.size, np.inf)
+    for b in np.flatnonzero(h >= h[a]):
+        if b != a:
+            minimum = higher if h[b] > h[a] else level
+            np.minimum(minimum, _sq_row(gx, gy, summits[b], row, dy), out=minimum)
+    return (mine < higher) & (mine <= level)
 
 
 def inverse_altiset_measure(
@@ -161,13 +177,13 @@ def voronoi_mu(
     excluded = frozenset(excluded)
     if x in excluded:
         raise AltisetError(f"summit {x} must not be in the excluded set")
-    sq = _sq_dists(grid, summits)
-    mine = sq[x]
-    ok = np.ones(sq.shape[1], dtype=bool)
-    for b in range(len(summits)):
-        if b == x or b in excluded:
-            continue
-        ok &= sq[b] >= mine
+    gx, gy = grid.centers()
+    mine, row, dy = np.empty(gx.size), np.empty(gx.size), np.empty(gx.size)
+    _sq_row(gx, gy, summits[x], mine, dy)
+    ok = np.ones(gx.size, dtype=bool)
+    for b, s in enumerate(summits):
+        if b != x and b not in excluded:
+            ok &= _sq_row(gx, gy, s, row, dy) >= mine
     return grid.cell_area * int(ok.sum())
 
 

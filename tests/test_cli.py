@@ -1,12 +1,15 @@
+import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from altiset.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
+from altiset.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _read, build_parser, main
 from conftest import peak_bytes
-from test_package import load_tracing
+from test_package import installed_tracer, load_perfbench
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -111,16 +114,55 @@ def test_every_skyline_method_runs(method, tmp_path, capsys):
 
 @pytest.mark.parametrize("method", skyline_methods())
 def test_skyline_method_calls_its_route_through_the_module_globals(method, tmp_path, capsys):
-    # the benchmark tracer rebinds cli's globals; a route table built at
+    # the benchmark tracer rebinds geoalt's globals; a route table built at
     # import time would call the unwrapped function and record no span
     route = "geoalt.records_field" if method == "records" else f"geoalt.{method}"
-    tracer = load_tracing().Tracer()
-    tracer.install()
+    tracer = installed_tracer(load_perfbench("tracing"))
     try:
         assert main(skyline_argv(method, tmp_path)) == EXIT_OK
     finally:
         tracer.uninstall()
     assert route in [span[0] for span in tracer.spans]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--no-timestamp", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_tracing_leaves_every_small_round_output_unchanged(tmp_path):
+    tracing, workloads = load_perfbench("tracing"), load_perfbench("workloads")
+    r = workloads._Round("small", 7, tmp_path)
+    workloads._small_round(r)
+    plain = [_run(job.args) for job in r.jobs]
+    tracer = installed_tracer(tracing)
+    try:
+        traced = [_run(job.args) for job in r.jobs]
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert [_run(job.args) for job in r.jobs] == plain
+    # each runner's lazily imported kernel is the wrapped one
+    names = {span[tracing.NAME] for span in tracer.spans}
+    for route in ("layers.upper_layers", "dependence.increasing_decomposition",
+                  "collective.collective_altiset", "geoalt.oracle", "geoalt.records_field",
+                  "domains.evolve"):
+        assert route in names
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    assert metrics["layers.errors"] == 1 and metrics["datasets.errors"] == 1
+
+
+@pytest.mark.parametrize("raw", [
+    b"x",
+    b"[0, 1], " * 10_000,  # beyond 64 KiB
+    "h\u00e9t\u00e9 \u5c71 \U0001f5fb\n".encode(),
+], ids=["one-byte", "over-64KiB", "non-ascii"])
+def test_input_digest_is_the_sha256_of_the_raw_bytes(raw, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(raw)
+    assert _read(str(path)) == (raw.decode("utf-8"), hashlib.sha256(raw).hexdigest())
 
 
 @pytest.mark.parametrize("text,ref,message", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altiset.errors import AltisetError, GridError, NonFiniteError
+from altiset.errors import AltisetError, DimensionError, GridError, NonFiniteError
 from altiset.domains import (
     GridMeasure,
     ValuationTrace,
@@ -13,6 +13,7 @@ from altiset.domains import (
     inverse_altiset_mask,
     inverse_altiset_measure,
     inverse_altiset_member,
+    _sq_dists,
     voronoi_mu,
 )
 
@@ -46,6 +47,18 @@ def assert_matches_oracle(summits, h0, g):
     expected = evolve_oracle(summits, h0, g)
     assert trace.valuations == expected.valuations
     assert trace.stop_index == expected.stop_index
+
+
+def random_field(rng):
+    """Summits on a small lattice, some shifted off it, with tie-heavy
+    altitudes, and a grid around them."""
+    summits = [(x + rng.choice((0.0, rng.random())), y) for x, y in random_summits(rng, rng.randint(1, 9))]
+    alts = [float(rng.randint(0, 3)) for _ in summits]
+    return summits, alts, GridMeasure.around(summits, nx=rng.randint(1, 20), ny=rng.randint(1, 20))
+
+
+def row_bytes(g, rows):
+    return rows * g.nx * g.ny * 8
 
 
 def random_summits(rng, n, span=3):
@@ -145,6 +158,29 @@ class TestInverseAltiset:
         summits = [(5.0, 5.0), (4.0, 4.0)]
         assert inverse_altiset_measure(summits, [1.0, 2.0], 0, g) == 0.0
 
+    def test_matches_the_distance_matrix(self, rng):
+        # the two minima taken over row selections of the whole matrix
+        for _ in range(60):
+            summits, alts, g = random_field(rng)
+            sq, h = _sq_dists(g, summits), np.array(alts)
+            for a in range(len(summits)):
+                higher = sq[h > h[a]].min(axis=0, initial=np.inf)
+                level = sq[(h == h[a]) & (np.arange(len(h)) != a)].min(axis=0, initial=np.inf)
+                expected = (sq[a] < higher) & (sq[a] <= level)
+                assert np.array_equal(inverse_altiset_mask(summits, alts, a, g), expected)
+
+    @pytest.mark.parametrize("alts", [[1.0], [1.0, 2.0, 3.0]])
+    def test_altitudes_must_match_summits(self, alts):
+        with pytest.raises(DimensionError):
+            inverse_altiset_mask([(0.0, 0.0), (1.0, 0.0)], alts, 0, grid())
+
+    def test_mask_peaks_at_a_few_rows(self, rng):
+        # 36 summits of one height: every other summit is a competitor
+        summits = random_summits(rng, 36, span=20)
+        g = GridMeasure.around(summits, nx=128)
+        # the cell centers, the summit's row, a scratch row and the two minima
+        assert peak_bytes(inverse_altiset_mask, summits, [1.0] * 36, 0, g) < row_bytes(g, 12)
+
     def test_membership_monotone_towards_own_summit(self, rng):
         # convexity: significant at x implies significant on sampled
         # points of the segment from x to the summit
@@ -189,6 +225,21 @@ class TestVoronoiMu:
             extra = [i for i in others if i not in small and rng.random() < 0.5]
             large = small + extra
             assert voronoi_mu(x, small, summits, g) <= voronoi_mu(x, large, summits, g)
+
+    def test_matches_the_distance_matrix(self, rng):
+        for _ in range(60):
+            summits, _, g = random_field(rng)
+            sq = _sq_dists(g, summits)
+            for x in range(len(summits)):
+                excluded = [b for b in range(len(summits)) if b != x and rng.random() < 0.4]
+                others = [b for b in range(len(summits)) if b != x and b not in excluded]
+                expected = np.all(sq[others] >= sq[x], axis=0)
+                assert voronoi_mu(x, excluded, summits, g) == g.cell_area * int(expected.sum())
+
+    def test_peaks_at_a_few_rows(self, rng):
+        summits = random_summits(rng, 36, span=20)
+        g = GridMeasure.around(summits, nx=128)
+        assert peak_bytes(voronoi_mu, 0, [], summits, g) < row_bytes(g, 12)
 
     def test_tie_cells_count_for_both(self):
         # centers on the bisector are weakly closer to both summits

@@ -21,12 +21,24 @@ PUBLIC = [
 ]
 
 
-def load_tracing():
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def load_perfbench(name):
+    """A module of the benchmark in perfbench/, loaded by path."""
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def installed_tracer(tracing):
+    """A tracing.Tracer, installed once every module it wraps is imported:
+    the CLI imports each kernel module only when a job needs it."""
+    for module in tracing.MODULES:
+        importlib.import_module(f"altiset.{module}")
+    tracer = tracing.Tracer()
+    tracer.install()
+    return tracer
 
 
 class TestExports:
@@ -59,11 +71,36 @@ class TestExports:
         for module in ("orders", "collective", "dependence", "geoalt", "domains", "datasets", "cli"):
             assert f"altiset.{module}" not in out
 
+    @pytest.mark.parametrize("argv,kernel,unused", [
+        (["layers", "--relation", "chain3.json"], "layers",
+         ("orders", "collective", "dependence", "geoalt", "domains")),
+        (["skyline", "summits.csv", "--ref", "0,0"], "geoalt",
+         ("layers", "dependence", "collective", "domains")),
+    ], ids=["layers", "skyline"])
+    def test_cli_job_loads_only_what_it_runs(self, argv, kernel, unused):
+        fixtures = Path(__file__).parent / "fixtures"
+        code = (
+            "import contextlib, io, sys\n"
+            "from altiset.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, "--no-timestamp", *argv], capture_output=True, text=True,
+            check=True, cwd=fixtures,
+            env={**os.environ, "PYTHONPATH": str(Path(altiset.__file__).parents[1])},
+        ).stdout.split()
+        assert f"altiset.{kernel}" in out
+        assert "_hashlib" not in out  # hashlib loads OpenSSL for its sha256
+        for module in unused:
+            assert f"altiset.{module}" not in out
+
 
 class TestTracingTargets:
     """Every function the benchmark tracer wraps still exists under its name."""
 
-    @pytest.mark.parametrize("target", load_tracing().TARGETS, ids=lambda t: t[0])
+    @pytest.mark.parametrize("target", load_perfbench("tracing").TARGETS, ids=lambda t: t[0])
     def test_target_resolves(self, target):
         _, module, attr, _ = target
         home = importlib.import_module(f"altiset.{module}")
