@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -85,21 +84,6 @@ def _parse_ref(spec: str) -> tuple:
     if len(values) not in (1, 2):
         raise ParseError(f"reference must be X or X,Y, got {spec!r}")
     return tuple(values)
-
-
-def _default_resolution() -> int:
-    env = os.environ.get("ALTISET_GRID")
-    if env:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-        raise ParseError(f"ALTISET_GRID must be a positive integer, got {env!r}")
-    from .domains import DEFAULT_RESOLUTION
-
-    return DEFAULT_RESOLUTION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +201,7 @@ def _run_skyline(args, text):
 
 
 def _run_evolve(args, text):
-    from .domains import DEFAULT_INFLATE, GridMeasure, evolve
+    from .domains import DEFAULT_INFLATE, DEFAULT_RESOLUTION, GridMeasure, evolve
     from .geoalt import EUCLIDEAN_2D
 
     inflate = DEFAULT_INFLATE if args.inflate is None else args.inflate
@@ -229,7 +213,7 @@ def _run_evolve(args, text):
         except ValueError as exc:
             raise ParseError(f"bad grid spec {args.grid!r}; expected WxH") from exc
     else:
-        nx = ny = _default_resolution()
+        nx = ny = DEFAULT_RESOLUTION
     grid = GridMeasure.around(summits, inflate=inflate, nx=nx, ny=ny)
     try:
         trace = evolve(summits, field.altitudes, grid, max_steps=args.max_steps)

@@ -3,14 +3,14 @@
 The abstract measure is realized as a fixed deterministic grid of cell
 centers: measures are exact multiples of the cell area, so the valuation
 evolution has a finite image and its fixed point is detected by exact
-equality.  A summit's significance domain is read off two per-cell
-minima of the summit-to-cell squared distances, over the higher summits
-and over the others of its height, taken one summit's row at a time, so
-it and `voronoi_mu` hold O(cells).  `evolve` builds those distances
-once, in place row by row, so they peak at one (summits, cells) matrix,
-and runs each step as one pass of running minima over the summits in
-descending valuation order: O(n·cells) per step, not the O(n²·cells) of
-calling `voronoi_mu` once per summit.
+equality.  Every domain function compares per-cell minima of the
+summit-to-cell squared distances, and `_nearest` computes each minimum
+one summit's row at a time, so every function holds O(cells), never a
+(summits, cells) matrix.  A summit's significance domain compares its
+own distance with the minima over the higher summits and over the others
+of its height.  `evolve` runs each step as one pass of running minima
+over the summits in descending valuation order: O(n·cells) per step,
+not the O(n²·cells) of calling `voronoi_mu` once per summit.
 """
 
 from __future__ import annotations
@@ -93,25 +93,39 @@ class GridMeasure:
         )
 
 
-def _sq_row(gx: np.ndarray, gy: np.ndarray, s, out: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Squared distance from summit s to every cell center, written into
-    `out` as `(gx - x)**2 + (gy - y)**2` with `dy` as scratch, so every
-    caller gets bit-identical distances."""
-    np.square(np.subtract(gx, s[0], out=out), out=out)
-    out += np.square(np.subtract(gy, s[1], out=dy), out=dy)
-    return out
+def _nearest(gx: np.ndarray, gy: np.ndarray, summits, members) -> np.ndarray:
+    """Least squared distance `(gx - x)**2 + (gy - y)**2` from each cell
+    center to the summits in `members`, inf where there are none.  Each
+    summit's row is computed in place and folded into one running minimum,
+    so the call holds three rows whatever the number of members, and a
+    float minimum is one of its inputs, so comparisons with it are exact."""
+    least, row, dy = np.full(gx.size, np.inf), np.empty(gx.size), np.empty(gx.size)
+    for b in members:
+        x, y = summits[b]
+        np.square(np.subtract(gx, x, out=row), out=row)
+        row += np.square(np.subtract(gy, y, out=dy), out=dy)
+        np.minimum(least, row, out=least)
+    return least
 
 
-def _sq_dists(grid: GridMeasure, summits: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Squared distance from every summit to every cell center: (summits, cells),
-    one contiguous row per summit, each filled in place by `_sq_row`, so
-    the peak is the matrix plus one scratch row."""
-    gx, gy = grid.centers()
-    sq = np.empty((len(summits), gx.size))
-    dy = np.empty(gx.size)
-    for row, s in zip(sq, summits):
-        _sq_row(gx, gy, s, row, dy)
-    return sq
+def _check_field(summits, index=None, heights=None, name: str = "altitudes") -> np.ndarray:
+    """The domain functions' one input check: `index` names a summit,
+    `heights` (called `name` in errors) holds one finite value per summit,
+    and the summit coordinates are finite.  The descending sort of heights
+    needs a total order, and the running minima need NaN-free distances
+    (the grid's finite sides rule out NaN centers).  Returns the heights
+    as float64."""
+    if index is not None and not 0 <= index < len(summits):
+        raise IndexError(f"summit index {index} out of range")
+    if heights is not None and len(heights) != len(summits):
+        raise DimensionError(f"{name} length does not match summits")
+    h = np.array(() if heights is None else heights, dtype=float)
+    for x, v in enumerate(h.tolist()):
+        if not math.isfinite(v):
+            raise NonFiniteError(f"{name} must be finite, got {v} for summit {x}")
+    if not all(math.isfinite(c) for s in summits for c in s):
+        raise NonFiniteError("summit coordinates must be finite")
+    return h
 
 
 def inverse_altiset_member(
@@ -125,8 +139,7 @@ def inverse_altiset_member(
     Read off the skyline of the field referenced at x, so ties follow the
     same exact squared-distance rule as `inverse_altiset_mask`.
     """
-    if not (0 <= a < len(summits)):
-        raise IndexError(f"summit index {a} out of range")
+    _check_field(summits, a, altitudes)
     return a in geo_altiset_oracle(SummitField(EUCLIDEAN_2D, summits, altitudes, x))
 
 
@@ -139,20 +152,11 @@ def inverse_altiset_mask(
     """Boolean mask over grid cells whose reference point keeps a significant:
     its squared distance is below that of every higher summit and no more
     than that of every other summit of its height."""
-    if not (0 <= a < len(summits)):
-        raise IndexError(f"summit index {a} out of range")
-    if len(altitudes) != len(summits):
-        raise DimensionError("altitudes length does not match summits")
-    h = np.array(altitudes, dtype=float)
+    h = _check_field(summits, a, altitudes)
     gx, gy = grid.centers()
-    mine, row, dy = np.empty(gx.size), np.empty(gx.size), np.empty(gx.size)
-    _sq_row(gx, gy, summits[a], mine, dy)
-    # each competitor's row in turn into its running minimum: O(cells) beside the grid
-    higher, level = np.full(gx.size, np.inf), np.full(gx.size, np.inf)
-    for b in np.flatnonzero(h >= h[a]):
-        if b != a:
-            minimum = higher if h[b] > h[a] else level
-            np.minimum(minimum, _sq_row(gx, gy, summits[b], row, dy), out=minimum)
+    mine = _nearest(gx, gy, summits, [a])
+    higher = _nearest(gx, gy, summits, np.flatnonzero(h > h[a]))
+    level = _nearest(gx, gy, summits, [b for b in np.flatnonzero(h == h[a]) if b != a])
     return (mine < higher) & (mine <= level)
 
 
@@ -174,17 +178,14 @@ def voronoi_mu(
 ) -> float:
     """Measure of the region weakly closer to summit x than to every
     competitor outside the excluded set (ties count for both sides)."""
+    _check_field(summits, x)
     excluded = frozenset(excluded)
     if x in excluded:
         raise AltisetError(f"summit {x} must not be in the excluded set")
     gx, gy = grid.centers()
-    mine, row, dy = np.empty(gx.size), np.empty(gx.size), np.empty(gx.size)
-    _sq_row(gx, gy, summits[x], mine, dy)
-    ok = np.ones(gx.size, dtype=bool)
-    for b, s in enumerate(summits):
-        if b != x and b not in excluded:
-            ok &= _sq_row(gx, gy, s, row, dy) >= mine
-    return grid.cell_area * int(ok.sum())
+    rivals = [b for b in range(len(summits)) if b != x and b not in excluded]
+    ok = _nearest(gx, gy, summits, [x]) <= _nearest(gx, gy, summits, rivals)
+    return grid.cell_area * int(np.count_nonzero(ok))
 
 
 @dataclass(frozen=True)
@@ -199,13 +200,14 @@ class ValuationTrace:
         return self.valuations[self.stop_index]
 
 
-def _evolve_step(sq: np.ndarray, h: np.ndarray, cell_area: float) -> tuple[float, ...]:
+def _evolve_step(
+    gx: np.ndarray, gy: np.ndarray, summits, h: np.ndarray, cell_area: float
+) -> tuple[float, ...]:
     """h'(x) = voronoi_mu(x, {y: h(y) < h(x)}) for every summit x at once.
 
     x counts a cell when its squared distance is <= that of every y != x
-    with h(y) >= h(x), that is when it is <= their minimum (a float minimum
-    is one of its inputs, so the comparison is exact).  Taking x itself
-    into that minimum changes nothing, so a tied group needs no
+    with h(y) >= h(x), that is when it is <= their minimum.  Taking x
+    itself into that minimum changes nothing, so a tied group needs no
     leave-one-out: visiting the groups of equal h in descending order,
     the running minimum over every summit visited so far, this group
     included, is what each of its members is compared against.
@@ -213,13 +215,12 @@ def _evolve_step(sq: np.ndarray, h: np.ndarray, cell_area: float) -> tuple[float
     order = np.argsort(-h, kind="stable")
     ranked = h[order]
     groups = np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
-    running = np.full(sq.shape[1], np.inf)
+    running = np.full(gx.size, np.inf)
     nxt = [0.0] * len(h)
     for group in groups:
-        for y in group:
-            np.minimum(running, sq[y], out=running)
+        np.minimum(running, _nearest(gx, gy, summits, group), out=running)
         for x in group:
-            nxt[x] = cell_area * int(np.count_nonzero(sq[x] <= running))
+            nxt[x] = cell_area * int(np.count_nonzero(_nearest(gx, gy, summits, [x]) <= running))
     return tuple(nxt)
 
 
@@ -232,28 +233,19 @@ def evolve(
     """Iterate h_{i+1}(x) = mu(x, {y: h_i(y) < h_i(x)}) to its fixed point.
 
     The fixed point exists because the grid measure has a finite image;
-    exceeding max_steps therefore signals an implementation bug.  The
-    (summits, cells) squared distances are built once; each step is then
-    one running-minimum pass over the summits in descending valuation
-    order, O(n·cells), with results equal to calling `voronoi_mu` per
-    summit.  Summit coordinates and h0 must be finite.
+    exceeding max_steps therefore signals an implementation bug.  Each
+    step is one running-minimum pass over the summits in descending
+    valuation order, O(n·cells) time and O(cells) memory, with results
+    equal to calling `voronoi_mu` per summit.  Summit coordinates and h0
+    must be finite.
     """
     if max_steps < 1:
         raise DimensionError(f"max_steps must be >= 1, got {max_steps}")
-    if len(h0) != len(summits):
-        raise DimensionError("initial valuation length does not match summits")
-    current = tuple(float(v) for v in h0)
-    # the descending sort needs a total order, and the running minima need
-    # NaN-free distances (the grid's finite sides rule out NaN centers)
-    for x, v in enumerate(current):
-        if not math.isfinite(v):
-            raise NonFiniteError(f"initial valuation must be finite, got {v} for summit {x}")
-    if not all(math.isfinite(c) for s in summits for c in s):
-        raise NonFiniteError("summit coordinates must be finite")
-    sq = _sq_dists(grid, summits)
+    current = tuple(_check_field(summits, heights=h0, name="initial valuation").tolist())
+    gx, gy = grid.centers()
     trace = [current]
     for _ in range(max_steps):
-        nxt = _evolve_step(sq, np.array(current), grid.cell_area)
+        nxt = _evolve_step(gx, gy, summits, np.array(current), grid.cell_area)
         trace.append(nxt)
         if nxt == current:
             return ValuationTrace(tuple(trace), len(trace) - 2)

@@ -32,28 +32,35 @@ PRICE = "price"
 _BLOCK = 256
 
 
+def _descending(keys: np.ndarray) -> np.ndarray:
+    """The order of the rows of an (n, k) array, k >= 1, in descending
+    lexicographic order, which puts every dominator before the rows it
+    dominates.  NaN keys raise NonFiniteError, because the sort needs a
+    total order."""
+    if keys.dtype.kind in "fO" and (keys != keys).any():  # NaN alone is != itself
+        raise NonFiniteError("keys must not be NaN")
+    return np.lexsort(keys.T[::-1])[::-1]
+
+
 def maxima(keys) -> np.ndarray:
     """Boolean mask of the rows of an (n, k) array that no other row dominates.
 
     Larger is better in every column.  A row dominates another when it is
     >= in every column and > in one, so equal rows never dominate each
     other and with k = 0 every row is kept.  The rows are sorted in
-    descending lexicographic order, which puts every dominator before the
-    rows it dominates (Kung, Luccio and Preparata, JACM 1975).  With
-    k <= 2 one sweep follows: a group of equal rows is dominated when the
-    best last column before the group reaches its own, O(n log n) time
-    and O(n) memory.  The block filter is the k >= 3 route: each block of
-    sorted rows is compared, column by column, with the maxima found so
-    far and with itself; no (n, n) matrix is built.  NaN keys raise
-    NonFiniteError, because the sort needs a total order.
+    descending lexicographic order (Kung, Luccio and Preparata, JACM
+    1975).  With k <= 2 one sweep follows: a group of equal rows is
+    dominated when the best last column before the group reaches its own,
+    O(n log n) time and O(n) memory.  The block filter is the k >= 3
+    route: each block of sorted rows is compared, column by column, with
+    the maxima found so far and with itself; no (n, n) matrix is built.
+    NaN keys raise NonFiniteError.
     """
     keys = np.asarray(keys)
     n, k = keys.shape
-    if keys.dtype.kind in "fO" and (keys != keys).any():  # NaN alone is != itself
-        raise NonFiniteError("keys must not be NaN")
     if n == 0 or k == 0:
         return np.ones(n, dtype=bool)
-    order = np.lexsort(keys.T[::-1])[::-1]
+    order = _descending(keys)
     ranked = keys[order]
     if k <= 2:
         starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
@@ -86,12 +93,13 @@ def pareto_layers(keys) -> np.ndarray:
     a row comes before it; patience sorting bisects each row into the best
     column 1 of each layer so far (Fredman, Discrete Math. 1975), and an
     equal row shares the layer of the one before it.  O(n log n) time,
-    O(n) memory.  NaN keys raise NonFiniteError.
+    O(n) memory.  NaN keys raise NonFiniteError, and keys of another
+    shape DimensionError.
     """
     keys = np.asarray(keys)
-    if keys.dtype.kind in "fO" and (keys != keys).any():
-        raise NonFiniteError("keys must not be NaN")
-    order = np.lexsort((keys[:, 1], keys[:, 0]))[::-1]
+    if keys.ndim != 2 or keys.shape[1] != 2:
+        raise DimensionError(f"pareto_layers needs two key columns, got shape {keys.shape}")
+    order = _descending(keys)
     ranked = keys[order]
     repeat = [False] + (ranked[1:] == ranked[:-1]).all(axis=1).tolist()
     layer, tops = [], []  # tops: minus the best column 1 of each layer so far, ascending

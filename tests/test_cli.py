@@ -196,11 +196,12 @@ def test_evolve_trace_file(tmp_path, capsys):
     assert trace["valuations"][k] == trace["valuations"][k + 1]
 
 
-def test_grid_env_override(tmp_path, capsys, monkeypatch):
+def test_grid_env_is_not_read(capsys, monkeypatch):
+    # --grid is the one way to set the resolution
     monkeypatch.setenv("ALTISET_GRID", "16")
     assert main(["--no-timestamp", "evolve", str(FIXTURES / "evolve.csv")]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["meta"]["settings"]["grid"] == [16, 16]
+    assert doc["meta"]["settings"]["grid"] == [128, 128]
 
 
 def test_output_file(tmp_path, capsys):
@@ -282,11 +283,11 @@ class TestExitCodes:
         assert "parse error" in capsys.readouterr().err
 
     def test_oversized_grid_is_parse_error(self, capsys, monkeypatch):
-        # stands in for the distance matrix of a huge grid, which is never built
-        def no_memory(grid, summits):
+        # stands in for the cell centers of a huge grid, which are never built
+        def no_memory(grid):
             raise MemoryError
 
-        monkeypatch.setattr("altiset.domains._sq_dists", no_memory)
+        monkeypatch.setattr("altiset.domains.GridMeasure.centers", no_memory)
         assert main([
             "--no-timestamp", "evolve", str(FIXTURES / "evolve.csv"), "--grid", "100000x100000",
         ]) == EXIT_IO

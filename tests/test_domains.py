@@ -13,7 +13,6 @@ from altiset.domains import (
     inverse_altiset_mask,
     inverse_altiset_measure,
     inverse_altiset_member,
-    _sq_dists,
     voronoi_mu,
 )
 
@@ -55,6 +54,14 @@ def random_field(rng):
     summits = [(x + rng.choice((0.0, rng.random())), y) for x, y in random_summits(rng, rng.randint(1, 9))]
     alts = [float(rng.randint(0, 3)) for _ in summits]
     return summits, alts, GridMeasure.around(summits, nx=rng.randint(1, 20), ny=rng.randint(1, 20))
+
+
+def sq_dists(g, summits):
+    """The whole (summits, cells) matrix of squared distances, with the
+    kernels' float operations: the reference the row-at-a-time minima
+    must equal."""
+    gx, gy = g.centers()
+    return np.array([(gx - x) ** 2 + (gy - y) ** 2 for x, y in summits])
 
 
 def row_bytes(g, rows):
@@ -162,7 +169,7 @@ class TestInverseAltiset:
         # the two minima taken over row selections of the whole matrix
         for _ in range(60):
             summits, alts, g = random_field(rng)
-            sq, h = _sq_dists(g, summits), np.array(alts)
+            sq, h = sq_dists(g, summits), np.array(alts)
             for a in range(len(summits)):
                 higher = sq[h > h[a]].min(axis=0, initial=np.inf)
                 level = sq[(h == h[a]) & (np.arange(len(h)) != a)].min(axis=0, initial=np.inf)
@@ -229,7 +236,7 @@ class TestVoronoiMu:
     def test_matches_the_distance_matrix(self, rng):
         for _ in range(60):
             summits, _, g = random_field(rng)
-            sq = _sq_dists(g, summits)
+            sq = sq_dists(g, summits)
             for x in range(len(summits)):
                 excluded = [b for b in range(len(summits)) if b != x and rng.random() < 0.4]
                 others = [b for b in range(len(summits)) if b != x and b not in excluded]
@@ -288,12 +295,12 @@ class TestEvolve:
             total = sum(voronoi_mu(x, [], summits, g) for x in range(len(summits)))
             assert total >= g.box_area - 1e-9
 
-    def test_distances_peak_at_one_matrix(self, rng):
+    def test_peaks_at_a_few_rows(self, rng):
         summits = random_summits(rng, 36, span=20)
         h0 = [float(rng.randint(0, 5)) for _ in summits]
         g = GridMeasure.around(summits, nx=128)
-        # one (summits, cells) float64 matrix, and a quarter of it for the rest
-        assert peak_bytes(evolve, summits, h0, g) < 1.25 * 36 * 128 * 128 * 8
+        # the cell centers, the running minimum and one `_nearest` call's three rows
+        assert peak_bytes(evolve, summits, h0, g) < row_bytes(g, 12)
 
     def test_step_limit_raises(self):
         # h0 (1, 1, 2) needs two steps: one to move, one to confirm
@@ -312,6 +319,37 @@ class TestEvolve:
     def test_non_finite_summit_rejected(self, bad):
         with pytest.raises(NonFiniteError, match="coordinates"):
             evolve([(0.0, 0.0), (bad, 0.0)], [1.0, 2.0], grid())
+
+
+class TestInputChecks:
+    """The domain functions check their inputs in one way."""
+
+    KERNELS = {
+        "mask": lambda summits, alts, a: inverse_altiset_mask(summits, alts, a, grid()),
+        "member": lambda summits, alts, a: inverse_altiset_member(summits, alts, a, (0.5, 0.5)),
+        "voronoi_mu": lambda summits, alts, a: voronoi_mu(a, [], summits, grid()),
+    }
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("a", [-1, 2])
+    def test_summit_index_out_of_range(self, kernel, a):
+        with pytest.raises(IndexError, match=f"summit index {a} out of range"):
+            self.KERNELS[kernel]([(0.0, 0.0), (1.0, 0.0)], [1.0, 2.0], a)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("summit,coordinate", [(0, 1), (1, 0)])
+    def test_non_finite_coordinate(self, kernel, bad, summit, coordinate):
+        summits = [[0.0, 0.0], [1.0, 0.0]]
+        summits[summit][coordinate] = bad
+        with pytest.raises(NonFiniteError, match="coordinates"):
+            self.KERNELS[kernel](summits, [1.0, 2.0], 0)
+
+    @pytest.mark.parametrize("kernel", ["mask", "member"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_altitude(self, kernel, bad):
+        with pytest.raises(NonFiniteError, match="altitudes must be finite"):
+            self.KERNELS[kernel]([(0.0, 0.0), (1.0, 0.0)], [1.0, bad], 0)
 
 
 class TestEvolveMatchesOracle:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altiset.errors import NonFiniteError, PartitionError
+from altiset.errors import DimensionError, NonFiniteError, PartitionError
 from altiset.orders import (
     GAIN,
     PRICE,
@@ -214,6 +214,12 @@ class TestParetoLayers:
     def test_nan_is_rejected(self):
         with pytest.raises(NonFiniteError):
             pareto_layers(np.array([[1.0, math.nan], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("keys", [[[1, 1, 5], [1, 1, 0]], [[1], [0]], [1, 0], np.zeros((0, 3))])
+    def test_needs_two_columns(self, keys):
+        # three columns would be layered on the first two only
+        with pytest.raises(DimensionError, match="two key columns"):
+            pareto_layers(np.array(keys))
 
 
 class TestKeyedOrder:
