@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # each public name under its home module, which is imported on first use (PEP 562)
 _EXPORTS = {
     "collective": ("SubsetFamily", "ValuedGroundSet", "collective_altiset", "pairwise_elimination",
-                   "rh_dominates", "threshold_profile"),
+                   "threshold_profile"),
     "dependence": ("PointSet2D", "decreasingness_index", "epsilon", "increasing_decomposition",
                    "increasingness_index"),
     "domains": ("GridMeasure", "ValuationTrace", "evolve", "inverse_altiset_measure", "voronoi_mu"),
@@ -22,6 +22,7 @@ _EXPORTS = {
     "geoalt": ("SummitField", "geo_altiset_oracle", "record_events", "skyline_circular",
                "skyline_contour", "skyline_recursive"),
     "layers": ("LayerDecomposition", "chain_coloring", "eval_chain", "upper_layers"),
+    "oracles": ("rh_dominates",),
     "orders": ("KeyedOrder", "OrderSystem", "altiset_of_system", "decompose_altiset", "quotient"),
     "relation": ("FiniteRelation", "Universe", "union"),
 }

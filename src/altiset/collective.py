@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -74,13 +74,6 @@ def threshold_profile(member: Iterable, ground: ValuedGroundSet) -> tuple[int, .
     return tuple(profile)
 
 
-def rh_dominates(m: Iterable, n: Iterable, ground: ValuedGroundSet) -> bool:
-    """True iff some threshold count of m lies strictly below n's."""
-    pm = threshold_profile(m, ground)
-    pn = threshold_profile(n, ground)
-    return any(a < b for a, b in zip(pm, pn))
-
-
 def _profiles(family: SubsetFamily) -> np.ndarray:
     """(members, thresholds) matrix of threshold profiles.  The counts
     compare the valuations themselves: as floats, 2**53 + 1 and 2**53 tie.
@@ -107,18 +100,3 @@ def pairwise_elimination(family: SubsetFamily) -> frozenset[int]:
         if not (geq & ~leq).any():
             survivors = [s for s, beaten in zip(survivors, leq & ~geq) if not beaten] + [k]
     return frozenset(survivors)
-
-
-def collective_altiset_bruteforce(family: SubsetFamily) -> frozenset[int]:
-    """Definitional double-loop altiset of the pairwise dominance relation."""
-    ground = family.ground
-    out = set()
-    for k, mk in enumerate(family.members):
-        significant = True
-        for l, ml in enumerate(family.members):
-            if rh_dominates(mk, ml, ground) and not rh_dominates(ml, mk, ground):
-                significant = False
-                break
-        if significant:
-            out.add(k)
-    return frozenset(out)

@@ -1,7 +1,7 @@
-"""Dataset parsing and emission for the CLI and test fixtures.
+"""Dataset parsing for the CLI.
 
 Formats are strict: schema violations raise ParseError naming the field
-(and the line for CSV).  emit/parse round-trip to identical values.
+(and the line for CSV).
 
 A relation's "pairs" is read in slices of 64 Ki characters into one exactly
 sized (m, 2) integer array, with no Python object per pair, when every entry
@@ -9,8 +9,8 @@ is a plain digit run; beyond the text and that array, the parse holds one
 slice's temporaries.  Any other valid JSON goes through json.loads and gets
 the same answer and errors.
 
-Each parser and emitter imports the kernel types of its own format when
-called, so reading a relation loads neither skylines nor collectives.
+Each parser imports the kernel types of its own format when called, so
+reading a relation loads neither skylines nor collectives.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     from .collective import SubsetFamily
     from .dependence import PointSet2D
     from .geoalt import SummitField
-    from .orders import OrderSystem
 
 
 def _load_json(text: str) -> dict:
@@ -184,53 +183,6 @@ def parse_relation(text: str) -> FiniteRelation:
         raise ParseError(str(exc)) from exc
 
 
-def emit_relation(rel: FiniteRelation) -> str:
-    doc: dict = {"size": rel.universe.size}
-    if rel.universe.labels is not None:
-        doc["labels"] = list(rel.universe.labels)
-    doc["pairs"] = sorted([a, b] for a, b in rel.pairs())
-    return json.dumps(doc, sort_keys=True)
-
-
-# -- order systems --------------------------------------------------------
-
-
-def parse_order_system(text: str) -> OrderSystem:
-    from .orders import KeyedOrder, OrderSystem
-
-    doc = _load_json(text)
-    size = doc.get("size")
-    if not _is_int(size) or size < 0:
-        raise ParseError('"size" must be a non-negative integer')
-    orders = doc.get("orders")
-    if not isinstance(orders, list) or not orders:
-        raise ParseError('"orders" must be a nonempty list')
-    keyed = []
-    for k, o in enumerate(orders):
-        if not isinstance(o, dict):
-            raise ParseError(f'"orders"[{k}] must be an object')
-        keys = o.get("keys")
-        if not isinstance(keys, list) or not all(map(_is_finite_number, keys)):
-            raise ParseError(f'"orders"[{k}].keys must be a list of finite numbers')
-        if len(keys) != size:
-            raise ParseError(f'"orders"[{k}].keys has {len(keys)} entries for size {size}')
-        direction = o.get("direction", "gain")
-        if direction not in ("gain", "price"):
-            raise ParseError(f'"orders"[{k}].direction must be "gain" or "price"')
-        keyed.append(KeyedOrder(tuple(keys), direction))
-    return OrderSystem(Universe(size), tuple(keyed))
-
-
-def emit_order_system(system: OrderSystem) -> str:
-    doc = {
-        "orders": [
-            {"direction": o.direction, "keys": list(o.keys)} for o in system.orders
-        ],
-        "size": system.universe.size,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
 # -- CSV helpers ----------------------------------------------------------
 
 
@@ -275,15 +227,6 @@ def parse_points_csv(text: str) -> PointSet2D:
         raise ParseError(str(exc)) from exc
 
 
-def emit_points_csv(points: PointSet2D) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x", "y"])
-    for x, y in points.points:
-        writer.writerow([repr(x), repr(y)])
-    return out.getvalue()
-
-
 def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> SummitField:
     """Columns x,h (real line) or x,y,h (plane); space inferred from width
     unless given."""
@@ -306,18 +249,6 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
         return SummitField(kind, summits, altitudes, reference)
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def emit_summits_csv(field: SummitField) -> str:
-    from .geoalt import EUCLIDEAN_2D
-
-    planar = field.space == EUCLIDEAN_2D
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x", "y", "h"] if planar else ["x", "h"])
-    for s, h in zip(field.summits, field.altitudes):
-        writer.writerow(map(repr, (*s, h) if planar else (s, h)))
-    return out.getvalue()
 
 
 # -- collective families --------------------------------------------------
@@ -354,12 +285,3 @@ def parse_family(text: str) -> SubsetFamily:
         return SubsetFamily(ground, tuple(members))
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def emit_family(family: SubsetFamily) -> str:
-    doc = {
-        "elements": list(family.ground.elements),
-        "family": [sorted(m) for m in family.members],
-        "h": {e: family.ground.valuation[e] for e in family.ground.elements},
-    }
-    return json.dumps(doc, sort_keys=True)

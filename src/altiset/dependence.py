@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -83,60 +82,3 @@ def increasing_decomposition(points: PointSet2D) -> list[list[int]]:
     layer = _layers_for(points, increasing=True)
     by_layer = np.argsort(layer, kind="stable")
     return [b.tolist() for b in np.split(by_layer, np.cumsum(np.bincount(layer)[1:-1]))]
-
-
-def is_increasing_set(points: PointSet2D, indices: Sequence[int]) -> bool:
-    """True iff the subset is the plot of a strictly increasing function."""
-    chosen = [points.points[i] for i in indices]
-    for a in range(len(chosen)):
-        for b in range(len(chosen)):
-            if a == b:
-                continue
-            (xa, ya), (xb, yb) = chosen[a], chosen[b]
-            if not ((xa < xb and ya < yb) or (xa > xb and ya > yb)):
-                return False
-    return True
-
-
-def minimal_increasing_cover_bruteforce(points: PointSet2D, increasing: bool = True) -> int:
-    """Exhaustive minimum over all partitions into monotone subsets (oracle).
-
-    Enumerates set partitions with pruning; intended for |S| <= 8.
-    """
-    n = len(points)
-    if n == 0:
-        raise DegenerateInputError("point set is empty")
-    pts = points.points
-
-    def compatible(i: int, block: list[int]) -> bool:
-        xi, yi = pts[i]
-        for j in block:
-            xj, yj = pts[j]
-            if increasing:
-                ok = (xi < xj and yi < yj) or (xi > xj and yi > yj)
-            else:
-                ok = (xi < xj and yi > yj) or (xi > xj and yi < yj)
-            if not ok:
-                return False
-        return True
-
-    best = n
-
-    def search(i: int, blocks: list[list[int]]):
-        nonlocal best
-        if len(blocks) >= best:
-            return
-        if i == n:
-            best = len(blocks)
-            return
-        for block in blocks:
-            if compatible(i, block):
-                block.append(i)
-                search(i + 1, blocks)
-                block.pop()
-        blocks.append([i])
-        search(i + 1, blocks)
-        blocks.pop()
-
-    search(0, [])
-    return best

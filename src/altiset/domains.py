@@ -108,15 +108,16 @@ def _nearest(gx: np.ndarray, gy: np.ndarray, summits, members) -> np.ndarray:
     return least
 
 
-def _check_field(summits, index=None, heights=None, name: str = "altitudes") -> np.ndarray:
-    """The domain functions' one input check: `index` names a summit,
-    `heights` (called `name` in errors) holds one finite value per summit,
+def _check_field(summits, indices=(), heights=None, name: str = "altitudes") -> np.ndarray:
+    """The domain functions' one input check: each of `indices` names a
+    summit, `heights` (called `name` in errors) holds one finite value per summit,
     and the summit coordinates are finite.  The descending sort of heights
     needs a total order, and the running minima need NaN-free distances
     (the grid's finite sides rule out NaN centers).  Returns the heights
     as float64."""
-    if index is not None and not 0 <= index < len(summits):
-        raise IndexError(f"summit index {index} out of range")
+    for index in indices:
+        if not 0 <= index < len(summits):
+            raise IndexError(f"summit index {index} out of range")
     if heights is not None and len(heights) != len(summits):
         raise DimensionError(f"{name} length does not match summits")
     h = np.array(() if heights is None else heights, dtype=float)
@@ -139,7 +140,7 @@ def inverse_altiset_member(
     Read off the skyline of the field referenced at x, so ties follow the
     same exact squared-distance rule as `inverse_altiset_mask`.
     """
-    _check_field(summits, a, altitudes)
+    _check_field(summits, [a], altitudes)
     return a in geo_altiset_oracle(SummitField(EUCLIDEAN_2D, summits, altitudes, x))
 
 
@@ -152,7 +153,7 @@ def inverse_altiset_mask(
     """Boolean mask over grid cells whose reference point keeps a significant:
     its squared distance is below that of every higher summit and no more
     than that of every other summit of its height."""
-    h = _check_field(summits, a, altitudes)
+    h = _check_field(summits, [a], altitudes)
     gx, gy = grid.centers()
     mine = _nearest(gx, gy, summits, [a])
     higher = _nearest(gx, gy, summits, np.flatnonzero(h > h[a]))
@@ -178,7 +179,7 @@ def voronoi_mu(
 ) -> float:
     """Measure of the region weakly closer to summit x than to every
     competitor outside the excluded set (ties count for both sides)."""
-    _check_field(summits, x)
+    _check_field(summits, [x, *excluded])
     excluded = frozenset(excluded)
     if x in excluded:
         raise AltisetError(f"summit {x} must not be in the excluded set")

@@ -1,0 +1,88 @@
+"""Wire-format writers, and the order-system format, for the library and
+test fixtures; no subcommand reads or writes these, so no CLI job imports
+this module.  emit/parse round-trip to identical values.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+
+from .collective import SubsetFamily
+from .datasets import _is_finite_number, _is_int, _load_json
+from .dependence import PointSet2D
+from .errors import ParseError
+from .geoalt import EUCLIDEAN_2D, SummitField
+from .orders import KeyedOrder, OrderSystem
+from .relation import FiniteRelation, Universe
+
+
+def emit_relation(rel: FiniteRelation) -> str:
+    doc: dict = {"size": rel.universe.size}
+    if rel.universe.labels is not None:
+        doc["labels"] = list(rel.universe.labels)
+    doc["pairs"] = sorted([a, b] for a, b in rel.pairs())
+    return json.dumps(doc, sort_keys=True)
+
+
+def parse_order_system(text: str) -> OrderSystem:
+    doc = _load_json(text)
+    size = doc.get("size")
+    if not _is_int(size) or size < 0:
+        raise ParseError('"size" must be a non-negative integer')
+    orders = doc.get("orders")
+    if not isinstance(orders, list) or not orders:
+        raise ParseError('"orders" must be a nonempty list')
+    keyed = []
+    for k, o in enumerate(orders):
+        if not isinstance(o, dict):
+            raise ParseError(f'"orders"[{k}] must be an object')
+        keys = o.get("keys")
+        if not isinstance(keys, list) or not all(map(_is_finite_number, keys)):
+            raise ParseError(f'"orders"[{k}].keys must be a list of finite numbers')
+        if len(keys) != size:
+            raise ParseError(f'"orders"[{k}].keys has {len(keys)} entries for size {size}')
+        direction = o.get("direction", "gain")
+        if direction not in ("gain", "price"):
+            raise ParseError(f'"orders"[{k}].direction must be "gain" or "price"')
+        keyed.append(KeyedOrder(tuple(keys), direction))
+    return OrderSystem(Universe(size), tuple(keyed))
+
+
+def emit_order_system(system: OrderSystem) -> str:
+    doc = {
+        "orders": [
+            {"direction": o.direction, "keys": list(o.keys)} for o in system.orders
+        ],
+        "size": system.universe.size,
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def emit_points_csv(points: PointSet2D) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["x", "y"])
+    for x, y in points.points:
+        writer.writerow([repr(x), repr(y)])
+    return out.getvalue()
+
+
+def emit_summits_csv(field: SummitField) -> str:
+    planar = field.space == EUCLIDEAN_2D
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["x", "y", "h"] if planar else ["x", "h"])
+    for s, h in zip(field.summits, field.altitudes):
+        writer.writerow(map(repr, (*s, h) if planar else (s, h)))
+    return out.getvalue()
+
+
+def emit_family(family: SubsetFamily) -> str:
+    doc = {
+        "elements": list(family.ground.elements),
+        "family": [sorted(m) for m in family.members],
+        "h": {e: family.ground.valuation[e] for e in family.ground.elements},
+    }
+    return json.dumps(doc, sort_keys=True)

@@ -10,23 +10,17 @@ over the asymmetric interior rather than by peeling: an element's upper
 index is one more than the largest upper index among the elements that
 strictly dominate it.  That costs O(n^2) numpy work for any depth.  The
 operator chains and their colorings are read off the two index vectors of
-that pass, and a cycle witness off the residue it leaves unplaced;
-`apply_operator` stays as the definitional step they are tested against.
+that pass, and a cycle witness off the residue it leaves unplaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CyclicRelationError,
-    DimensionError,
-    NotAStrictOrderError,
-    OracleSizeError,
-)
+from .errors import CyclicRelationError, DimensionError, NotAStrictOrderError
 from .relation import FiniteRelation, _levels
 
 UPPER = "v"  # remove the altiset of R
@@ -44,9 +38,6 @@ class LayerDecomposition:
     def upper_layer(self, i: int) -> frozenset[int]:
         return frozenset(x for x, v in enumerate(self.upper_index) if v == i)
 
-    def lower_layer(self, i: int) -> frozenset[int]:
-        return frozenset(x for x, v in enumerate(self.lower_index) if v == i)
-
 
 def upper_layers(rel: FiniteRelation) -> LayerDecomposition:
     """Both layer index maps and d(R); requires the AA-property."""
@@ -59,16 +50,6 @@ def upper_layers(rel: FiniteRelation) -> LayerDecomposition:
     return LayerDecomposition(
         tuple(upper.tolist()), tuple(lower.tolist()), int(upper.max(initial=0))
     )
-
-
-def apply_operator(op: str, rel: FiniteRelation, subset: Iterable[int]) -> frozenset[int]:
-    """One step of the remove-the-altiset algebra on a subset."""
-    idx = frozenset(rel.universe.check_subset(subset))
-    if op == UPPER:
-        return idx - rel.altiset(idx)
-    if op == LOWER:
-        return idx - rel.inverse().altiset(idx)
-    raise DimensionError(f"unknown operator {op!r}; expected {UPPER!r} or {LOWER!r}")
 
 
 def _chain_counts(term: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -124,61 +105,3 @@ def longest_chain(strict: FiniteRelation) -> int:
         raise NotAStrictOrderError("relation is not transitive")
     # a strict order is acyclic, and its level count is its longest chain
     return int(_levels(adj).max(initial=0))
-
-
-def chromatic_number_oracle(graph: FiniteRelation, cap: int = 12) -> int:
-    """Exact chromatic number of the underlying undirected simple graph.
-
-    The digraph is symmetrized and loops dropped; backtracking with a
-    greedy clique lower bound and a greedy-coloring upper bound.
-    """
-    n = graph.universe.size
-    if n > cap:
-        raise OracleSizeError(f"size {n} exceeds oracle cap {cap}")
-    if n == 0:
-        return 0
-    sym = (graph.adjacency | graph.adjacency.T).copy()
-    np.fill_diagonal(sym, False)
-    neighbors = [frozenset(np.nonzero(sym[v])[0].tolist()) for v in range(n)]
-
-    # greedy clique (degree-descending) as a lower bound
-    clique: list[int] = []
-    for v in sorted(range(n), key=lambda v: -len(neighbors[v])):
-        if all(v in neighbors[u] for u in clique):
-            clique.append(v)
-    lower = len(clique)
-
-    # greedy coloring as an upper bound
-    greedy = [-1] * n
-    for v in sorted(range(n), key=lambda v: -len(neighbors[v])):
-        used = {greedy[u] for u in neighbors[v]}
-        c = 0
-        while c in used:
-            c += 1
-        greedy[v] = c
-    upper = max(greedy) + 1
-
-    def colorable(k: int) -> bool:
-        colors = [-1] * n
-        order = sorted(range(n), key=lambda v: -len(neighbors[v]))
-
-        def place(i: int, used: int) -> bool:
-            if i == n:
-                return True
-            v = order[i]
-            forbidden = {colors[u] for u in neighbors[v] if colors[u] >= 0}
-            for c in range(min(used + 1, k)):
-                if c in forbidden:
-                    continue
-                colors[v] = c
-                if place(i + 1, max(used, c + 1)):
-                    return True
-                colors[v] = -1
-            return False
-
-        return place(0, 0)
-
-    for k in range(lower, upper):
-        if colorable(k):
-            return k
-    return upper

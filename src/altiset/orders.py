@@ -10,7 +10,6 @@ systems, collective comparison, geographic skylines and record events,
 by one sweep for at most two columns and a block filter for more.
 `quotient` reads the class order off the key ranks of one member per
 class, and `pareto_layers` peels two columns into successive maxima.
-`system_union` builds the dense union relation as a reference.
 """
 
 from __future__ import annotations
@@ -23,13 +22,22 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError, PartitionError
-from .relation import FiniteRelation, Universe, key_array, union
+from .relation import FiniteRelation, Universe, key_array
 
 GAIN = "gain"
 PRICE = "price"
 
 # rows `maxima` filters per pass; its temporaries hold block x maxima booleans
 _BLOCK = 256
+
+
+def _key_matrix(keys, name: str, two: bool = False) -> np.ndarray:
+    """keys as an (n, k) array, k = 2 where `two` is set; DimensionError otherwise."""
+    keys = np.asarray(keys)
+    if keys.ndim != 2 or (two and keys.shape[1] != 2):
+        needs = "two key columns" if two else "an (n, k) array of keys"
+        raise DimensionError(f"{name} needs {needs}, got shape {keys.shape}")
+    return keys
 
 
 def _descending(keys: np.ndarray) -> np.ndarray:
@@ -54,9 +62,9 @@ def maxima(keys) -> np.ndarray:
     O(n log n) time and O(n) memory.  The block filter is the k >= 3
     route: each block of sorted rows is compared, column by column, with
     the maxima found so far and with itself; no (n, n) matrix is built.
-    NaN keys raise NonFiniteError.
+    NaN keys raise NonFiniteError, and keys that are not 2-D DimensionError.
     """
-    keys = np.asarray(keys)
+    keys = _key_matrix(keys, "maxima")
     n, k = keys.shape
     if n == 0 or k == 0:
         return np.ones(n, dtype=bool)
@@ -96,9 +104,7 @@ def pareto_layers(keys) -> np.ndarray:
     O(n) memory.  NaN keys raise NonFiniteError, and keys of another
     shape DimensionError.
     """
-    keys = np.asarray(keys)
-    if keys.ndim != 2 or keys.shape[1] != 2:
-        raise DimensionError(f"pareto_layers needs two key columns, got shape {keys.shape}")
+    keys = _key_matrix(keys, "pareto_layers", two=True)
     order = _descending(keys)
     ranked = keys[order]
     repeat = [False] + (ranked[1:] == ranked[:-1]).all(axis=1).tolist()
@@ -165,11 +171,6 @@ class QuotientView:
     maximal_classes: frozenset[int]
 
 
-def system_union(system: OrderSystem) -> FiniteRelation:
-    """R = union of the reflexive relations of all orders."""
-    return union([o.relation(system.universe) for o in system.orders])
-
-
 def indistinguishability(system: OrderSystem) -> tuple[tuple[int, ...], ...]:
     """Partition by equality under every key function, keys compared as
     `_ranks` compares them (mixed integers and floats as float64); keys it
@@ -187,8 +188,8 @@ def indistinguishability(system: OrderSystem) -> tuple[tuple[int, ...], ...]:
 def quotient(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> QuotientView:
     """Indistinguishability classes + strict characteristic order + maxima,
     over the subset (default: the whole universe).  Read off the key ranks
-    of each class's first member: class i lies below class j, as in
-    `system_union`, when j ranks higher in some column."""
+    of each class's first member: class i lies below class j, as in the
+    union of the orders' relations, when j ranks higher in some column."""
     classes = indistinguishability(system)
     if subset is not None:
         keep = set(system.universe.check_subset(subset))
@@ -234,20 +235,3 @@ def decompose_altiset(system: OrderSystem, blocks: Sequence[Iterable[int]]) -> f
         seen.update(idx)
         merged.update(altiset_of_system(system, idx))
     return altiset_of_system(system, merged)
-
-
-def check_form_equivalences(f_keys: Sequence, g_keys: Sequence, a: int, b: int) -> tuple[bool, bool, bool, bool]:
-    """The four implication-pair forms of aligned-orders significance at (a,b)."""
-    if len(f_keys) != len(g_keys):
-        raise DimensionError("key vectors differ in length")
-    fa, fb = f_keys[a], f_keys[b]
-    ga, gb = g_keys[a], g_keys[b]
-
-    def imp(p, q):
-        return (not p) or q
-
-    form1 = imp(fa < fb, ga < gb) and imp(ga > gb, fa > fb)
-    form2 = imp(fa <= fb, ga <= gb) and imp(ga >= gb, fa >= fb)
-    form3 = imp(fa < fb, ga < gb) and imp(fa == fb, ga <= gb)
-    form4 = imp(ga > gb, fa > fb) and imp(ga == gb, fa >= fb)
-    return form1, form2, form3, form4

@@ -256,16 +256,3 @@ def union(relations: Sequence[FiniteRelation]) -> FiniteRelation:
             )
         adj |= r.adjacency
     return FiniteRelation(first.universe, adj)
-
-
-def altiset_bruteforce(rel: FiniteRelation, subset: Optional[Iterable[int]] = None) -> frozenset[int]:
-    """Definitional double-loop significance predicate (test oracle)."""
-    if subset is None:
-        idx = list(range(rel.universe.size))
-    else:
-        idx = list(rel.universe.check_subset(subset))
-    out = set()
-    for a in idx:
-        if all((a, b) not in rel or (b, a) in rel for b in idx):
-            out.add(a)
-    return frozenset(out)

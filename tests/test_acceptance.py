@@ -12,11 +12,10 @@ from pathlib import Path
 import pytest
 
 from altiset.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
-from altiset import datasets
+from altiset import datasets, emit
 from altiset.collective import (
     SubsetFamily,
     collective_altiset,
-    collective_altiset_bruteforce,
     pairwise_elimination,
 )
 from altiset.dependence import (
@@ -24,7 +23,6 @@ from altiset.dependence import (
     decreasingness_index,
     epsilon,
     increasingness_index,
-    minimal_increasing_cover_bruteforce,
 )
 from altiset.domains import GridMeasure, evolve, voronoi_mu
 from altiset.geoalt import (
@@ -37,15 +35,21 @@ from altiset.geoalt import (
 from altiset.layers import (
     LOWER,
     UPPER,
-    apply_operator,
     chain_coloring,
-    chromatic_number_oracle,
     eval_chain,
     longest_chain,
     upper_layers,
 )
-from altiset.orders import altiset_of_system, decompose_altiset, system_union
-from altiset.relation import FiniteRelation, Universe, altiset_bruteforce, union
+from altiset.oracles import (
+    altiset_bruteforce,
+    apply_operator,
+    chromatic_number_oracle,
+    collective_altiset_bruteforce,
+    minimal_increasing_cover_bruteforce,
+    system_union,
+)
+from altiset.orders import altiset_of_system, decompose_altiset
+from altiset.relation import FiniteRelation, Universe, union
 
 from conftest import random_aa_relation, random_family, random_field, random_relation, random_system
 
@@ -293,15 +297,15 @@ def test_criterion_10_cli(capsys, tmp_path):
 
     # round trips on all fixture datasets
     rel = datasets.parse_relation((FIXTURES / "cycle3.json").read_text())
-    ok = ok and datasets.parse_relation(datasets.emit_relation(rel)) == rel
-    system = datasets.parse_order_system((FIXTURES / "orders.json").read_text())
-    ok = ok and datasets.parse_order_system(datasets.emit_order_system(system)) == system
+    ok = ok and datasets.parse_relation(emit.emit_relation(rel)) == rel
+    system = emit.parse_order_system((FIXTURES / "orders.json").read_text())
+    ok = ok and emit.parse_order_system(emit.emit_order_system(system)) == system
     pts = datasets.parse_points_csv((FIXTURES / "points_mixed.csv").read_text())
-    ok = ok and datasets.parse_points_csv(datasets.emit_points_csv(pts)) == pts
+    ok = ok and datasets.parse_points_csv(emit.emit_points_csv(pts)) == pts
     field = datasets.parse_summits_csv((FIXTURES / "summits.csv").read_text(), (0.0, 0.0))
-    ok = ok and datasets.parse_summits_csv(datasets.emit_summits_csv(field), (0.0, 0.0)) == field
+    ok = ok and datasets.parse_summits_csv(emit.emit_summits_csv(field), (0.0, 0.0)) == field
     family = datasets.parse_family((FIXTURES / "family.json").read_text())
-    ok = ok and datasets.parse_family(datasets.emit_family(family)) == family
+    ok = ok and datasets.parse_family(emit.emit_family(family)) == family
 
     # documented exit codes on malformed inputs
     ok = ok and main(["--no-timestamp", "altiset", "--relation", str(FIXTURES / "bad_pairs.json")]) == EXIT_IO

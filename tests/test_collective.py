@@ -7,12 +7,11 @@ from altiset.collective import (
     SubsetFamily,
     ValuedGroundSet,
     collective_altiset,
-    collective_altiset_bruteforce,
     pairwise_elimination,
-    rh_dominates,
     threshold_profile,
 )
 from altiset.errors import NonFiniteError, SubsetIndexError
+from altiset.oracles import collective_altiset_bruteforce, rh_dominates
 
 from conftest import random_family
 

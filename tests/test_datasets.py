@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altiset import datasets
+from altiset import datasets, emit
 from altiset.errors import AltisetError, ParseError
 from altiset.geoalt import EUCLIDEAN_2D, REAL_LINE
 from altiset.relation import FiniteRelation, Universe
@@ -29,13 +29,13 @@ class TestRelationFormat:
     def test_round_trip(self):
         text = read("chain3.json")
         rel = datasets.parse_relation(text)
-        assert datasets.parse_relation(datasets.emit_relation(rel)) == rel
+        assert datasets.parse_relation(emit.emit_relation(rel)) == rel
 
     def test_labels_round_trip(self):
         rel = datasets.parse_relation(
             '{"size": 2, "labels": ["x", "y"], "pairs": [[0, 1]]}'
         )
-        again = datasets.parse_relation(datasets.emit_relation(rel))
+        again = datasets.parse_relation(emit.emit_relation(rel))
         assert again.universe.labels == ("x", "y")
         assert again == rel
 
@@ -283,33 +283,33 @@ class TestPairsScan:
 
 class TestOrderSystemFormat:
     def test_parse(self):
-        system = datasets.parse_order_system(read("orders.json"))
+        system = emit.parse_order_system(read("orders.json"))
         assert len(system.orders) == 2
         assert system.orders[1].direction == "price"
 
     def test_round_trip(self):
-        system = datasets.parse_order_system(read("orders.json"))
-        again = datasets.parse_order_system(datasets.emit_order_system(system))
+        system = emit.parse_order_system(read("orders.json"))
+        again = emit.parse_order_system(emit.emit_order_system(system))
         assert again == system
 
     def test_bad_direction(self):
         with pytest.raises(ParseError, match="direction"):
-            datasets.parse_order_system(
+            emit.parse_order_system(
                 '{"size": 1, "orders": [{"keys": [1], "direction": "up"}]}'
             )
 
     def test_key_length_mismatch(self):
         with pytest.raises(ParseError, match="entries"):
-            datasets.parse_order_system('{"size": 2, "orders": [{"keys": [1]}]}')
+            emit.parse_order_system('{"size": 2, "orders": [{"keys": [1]}]}')
 
     def test_boolean_size_is_not_an_integer(self):
         with pytest.raises(ParseError, match='"size"'):
-            datasets.parse_order_system('{"size": true, "orders": [{"keys": [1]}]}')
+            emit.parse_order_system('{"size": true, "orders": [{"keys": [1]}]}')
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_key(self, value):
         with pytest.raises(ParseError, match="finite numbers"):
-            datasets.parse_order_system(f'{{"size": 2, "orders": [{{"keys": [1, {value}]}}]}}')
+            emit.parse_order_system(f'{{"size": 2, "orders": [{{"keys": [1, {value}]}}]}}')
 
 
 class TestPointsCsv:
@@ -323,7 +323,7 @@ class TestPointsCsv:
 
     def test_round_trip(self):
         points = datasets.parse_points_csv(read("points_mixed.csv"))
-        assert datasets.parse_points_csv(datasets.emit_points_csv(points)) == points
+        assert datasets.parse_points_csv(emit.emit_points_csv(points)) == points
 
     def test_non_numeric_cell_names_line(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -356,7 +356,7 @@ class TestSummitsCsv:
     def test_round_trip(self):
         field = datasets.parse_summits_csv(read("summits.csv"), (0.0, 0.0))
         again = datasets.parse_summits_csv(
-            datasets.emit_summits_csv(field), field.reference
+            emit.emit_summits_csv(field), field.reference
         )
         assert again == field
 
@@ -373,7 +373,7 @@ class TestSummitsCsv:
     def test_round_trip_real_line(self):
         field = datasets.parse_summits_csv("x,h\n1,5\n2,3\n", 0.0)
         again = datasets.parse_summits_csv(
-            datasets.emit_summits_csv(field), field.reference
+            emit.emit_summits_csv(field), field.reference
         )
         assert again == field
 
@@ -386,7 +386,7 @@ class TestFamilyFormat:
 
     def test_round_trip(self):
         family = datasets.parse_family(read("family.json"))
-        again = datasets.parse_family(datasets.emit_family(family))
+        again = datasets.parse_family(emit.emit_family(family))
         assert again == family
 
     def test_unknown_member_element(self):

@@ -11,11 +11,10 @@ from altiset.dependence import (
     epsilon,
     increasing_decomposition,
     increasingness_index,
-    is_increasing_set,
-    minimal_increasing_cover_bruteforce,
 )
 from altiset.errors import DegenerateInputError, InjectivityError, NonFiniteError
 from altiset.layers import upper_layers
+from altiset.oracles import is_increasing_set, minimal_increasing_cover_bruteforce
 from altiset.relation import FiniteRelation, Universe, union
 
 

@@ -221,6 +221,11 @@ class TestVoronoiMu:
         with pytest.raises(AltisetError):
             voronoi_mu(0, [0], [(0.0, 0.0)], grid())
 
+    @pytest.mark.parametrize("excluded,bad", [([99, -5], 99), ([1, -5], -5), ([2], 2)])
+    def test_excluded_index_out_of_range(self, excluded, bad):
+        with pytest.raises(IndexError, match=f"summit index {bad} out of range"):
+            voronoi_mu(0, excluded, [(0.0, 0.0), (1.0, 0.0)], GridMeasure(-1, 2, -1, 1, 3, 2))
+
     def test_monotone_in_excluded_set(self, rng):
         g = grid(n=24)
         for _ in range(200):

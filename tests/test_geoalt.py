@@ -18,8 +18,9 @@ from altiset.geoalt import (
     skyline_recursive,
 )
 
-from altiset.orders import GAIN, PRICE, KeyedOrder, OrderSystem, system_union
-from altiset.relation import Universe, altiset_bruteforce
+from altiset.oracles import altiset_bruteforce, system_union
+from altiset.orders import GAIN, PRICE, KeyedOrder, OrderSystem
+from altiset.relation import Universe
 
 from conftest import random_field
 

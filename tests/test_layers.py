@@ -9,17 +9,16 @@ from altiset.errors import (
     NotAStrictOrderError,
     OracleSizeError,
 )
-from altiset import layers
+from altiset import oracles
 from altiset.layers import (
     LOWER,
     UPPER,
-    apply_operator,
     chain_coloring,
-    chromatic_number_oracle,
     eval_chain,
     longest_chain,
     upper_layers,
 )
+from altiset.oracles import apply_operator, chromatic_number_oracle
 from altiset.relation import FiniteRelation, Universe
 
 from conftest import peak_bytes, random_aa_relation, random_relation
@@ -345,7 +344,7 @@ class TestChainsMatchOperatorFolds:
 
         monkeypatch.setattr(FiniteRelation, "altiset", forbidden)
         monkeypatch.setattr(FiniteRelation, "find_asym_cycle", forbidden)
-        monkeypatch.setattr(layers, "apply_operator", forbidden)
+        monkeypatch.setattr(oracles, "apply_operator", forbidden)
         n = 600
         r = FiniteRelation.induce(Universe(n), list(range(n)))
         term = [rng.choice([UPPER, LOWER]) for _ in range(n)]

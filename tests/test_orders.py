@@ -14,15 +14,14 @@ from altiset.orders import (
     KeyedOrder,
     OrderSystem,
     altiset_of_system,
-    check_form_equivalences,
     decompose_altiset,
     indistinguishability,
     maxima,
     pareto_layers,
     quotient,
-    system_union,
 )
-from altiset.relation import FiniteRelation, Universe, _levels, altiset_bruteforce, union
+from altiset.oracles import altiset_bruteforce, check_form_equivalences, system_union
+from altiset.relation import FiniteRelation, Universe, _levels, union
 
 from conftest import peak_bytes, random_system
 
@@ -74,6 +73,11 @@ class TestMaxima:
     ])
     def test_degenerate_shapes(self, shape, expected):
         assert maxima(np.zeros(shape)).tolist() == expected
+
+    @pytest.mark.parametrize("keys", [[1, 2, 3], [[[1]]], [], 5])
+    def test_needs_a_key_matrix(self, keys):
+        with pytest.raises(DimensionError, match=r"maxima needs an \(n, k\) array"):
+            maxima(keys)
 
     def test_nan_is_rejected(self):
         with pytest.raises(NonFiniteError):

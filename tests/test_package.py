@@ -20,6 +20,9 @@ PUBLIC = [
     "threshold_profile", "union", "upper_layers", "voronoi_mu",
 ]
 
+# the modules that compute; every job also loads cli, datasets and errors
+KERNELS = ("relation", "orders", "layers", "dependence", "collective", "geoalt", "domains")
+
 
 def load_perfbench(name):
     """A module of the benchmark in perfbench/, loaded by path."""
@@ -68,16 +71,19 @@ class TestExports:
             env={**os.environ, "PYTHONPATH": str(Path(altiset.__file__).parents[1])},
         ).stdout.split()
         assert "altiset.relation" in out
-        for module in ("orders", "collective", "dependence", "geoalt", "domains", "datasets", "cli"):
+        for module in ("orders", "collective", "dependence", "geoalt", "domains", "datasets", "cli",
+                       "oracles", "emit"):
             assert f"altiset.{module}" not in out
 
-    @pytest.mark.parametrize("argv,kernel,unused", [
-        (["layers", "--relation", "chain3.json"], "layers",
-         ("orders", "collective", "dependence", "geoalt", "domains")),
-        (["skyline", "summits.csv", "--ref", "0,0"], "geoalt",
-         ("layers", "dependence", "collective", "domains")),
-    ], ids=["layers", "skyline"])
-    def test_cli_job_loads_only_what_it_runs(self, argv, kernel, unused):
+    @pytest.mark.parametrize("argv,runs", [
+        (["altiset", "--relation", "cycle3.json"], ("relation",)),
+        (["layers", "--relation", "chain3.json"], ("relation", "layers")),
+        (["correlate", "points_increasing.csv"], ("relation", "orders", "dependence")),
+        (["collective", "family.json"], ("relation", "orders", "collective")),
+        (["skyline", "summits.csv", "--ref", "0,0", "--method", "oracle"], ("relation", "orders", "geoalt")),
+        (["evolve", "evolve.csv", "--grid", "16x16"], ("relation", "orders", "geoalt", "domains")),
+    ], ids=["altiset", "layers", "correlate", "collective", "skyline", "evolve"])
+    def test_cli_job_loads_only_what_it_runs(self, argv, runs):
         fixtures = Path(__file__).parent / "fixtures"
         code = (
             "import contextlib, io, sys\n"
@@ -91,10 +97,9 @@ class TestExports:
             check=True, cwd=fixtures,
             env={**os.environ, "PYTHONPATH": str(Path(altiset.__file__).parents[1])},
         ).stdout.split()
-        assert f"altiset.{kernel}" in out
+        assert {m for m in KERNELS if f"altiset.{m}" in out} == set(runs)
+        assert "altiset.oracles" not in out and "altiset.emit" not in out
         assert "_hashlib" not in out  # hashlib loads OpenSSL for its sha256
-        for module in unused:
-            assert f"altiset.{module}" not in out
 
 
 class TestTracingTargets:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from altiset.errors import DimensionError, SubsetIndexError
-from altiset.relation import FiniteRelation, Universe, altiset_bruteforce, union
+from altiset.oracles import altiset_bruteforce
+from altiset.relation import FiniteRelation, Universe, union
 
 from conftest import random_aa_relation, random_relation
 
