@@ -2,8 +2,11 @@
 
 A job imports only what its subcommand runs: each runner imports its
 kernel module when it is called, and `datasets` imports a format's types
-in that format's parser.  The input digest comes from CPython's builtin
-sha256 (`_sha2` or `_sha256`), so no job loads OpenSSL through hashlib.
+in that format's parser.  A relation file is streamed into its matrix by
+`datasets.parse_relation`, which hashes each slice as it reads it; the
+other inputs are read whole.  The input digest comes from CPython's
+builtin sha256 (`_sha2` or `_sha256`), so no job loads OpenSSL through
+hashlib.
 
 Exit codes: 0 success, 1 domain error (cyclic relation, duplicate points,
 degenerate input), 2 I/O or parse error, 64 usage error.
@@ -47,11 +50,15 @@ def _read(path: str) -> tuple[str, str]:
     """File text plus its sha256 digest."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    return text, sha256(raw).hexdigest()
+    return datasets.utf8_text(raw, path), sha256(raw).hexdigest()
+
+
+def _read_relation(path: str):
+    """The relation in a file plus the file's sha256 digest."""
+    sha = sha256()
+    with open(path, "rb") as fh:
+        rel = datasets.parse_relation(fh, sha)
+    return rel, sha.hexdigest()
 
 
 def _document(command: str, digest: str, settings: dict, result: dict, timestamp: bool) -> str:
@@ -124,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_altiset(args, text):
-    rel = datasets.parse_relation(text)
+def _run_altiset(args, rel):
     subset = _parse_subset(args.subset)
     result = {"altiset": sorted(rel.altiset(subset)), "size": rel.universe.size}
     if rel.universe.labels:
@@ -134,10 +140,9 @@ def _run_altiset(args, text):
     return settings, result
 
 
-def _run_layers(args, text):
+def _run_layers(args, rel):
     from .layers import upper_layers
 
-    rel = datasets.parse_relation(text)
     decomp = upper_layers(rel)
     result = {
         "d": decomp.class_count,
@@ -242,22 +247,22 @@ def _run_evolve(args, text):
 
 
 _RUNNERS = {
-    "altiset": ("relation", _run_altiset),
-    "layers": ("relation", _run_layers),
-    "correlate": ("input", _run_correlate),
-    "collective": ("input", _run_collective),
-    "skyline": ("input", _run_skyline),
-    "evolve": ("input", _run_evolve),
+    "altiset": ("relation", _read_relation, _run_altiset),
+    "layers": ("relation", _read_relation, _run_layers),
+    "correlate": ("input", _read, _run_correlate),
+    "collective": ("input", _read, _run_collective),
+    "skyline": ("input", _read, _run_skyline),
+    "evolve": ("input", _read, _run_evolve),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    source_attr, runner = _RUNNERS[args.command]
+    source_attr, read, runner = _RUNNERS[args.command]
     try:
-        text, digest = _read(getattr(args, source_attr))
-        settings, result = runner(args, text)
+        data, digest = read(getattr(args, source_attr))
+        settings, result = runner(args, data)
         with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
             fh.write(_document(args.command, digest, settings, result, not args.no_timestamp))
     except ParseError as exc:

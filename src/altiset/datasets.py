@@ -3,11 +3,13 @@
 Formats are strict: schema violations raise ParseError naming the field
 (and the line for CSV).
 
-A relation's "pairs" is read in slices of 64 Ki characters into one exactly
-sized (m, 2) integer array, with no Python object per pair, when every entry
-is a plain digit run; beyond the text and that array, the parse holds one
-slice's temporaries.  Any other valid JSON goes through json.loads and gets
-the same answer and errors.
+A relation file is streamed in slices of 32 KiB, each hashed once.  The
+members other than "pairs" are decoded as they arrive, and the indices of
+"pairs", where every entry is a plain digit run, are scanned with no
+Python object per pair and set straight into the n x n matrix, which the
+relation then keeps.  So the parse holds that matrix and one slice, not
+the file.  Whatever the stream does not recognise is read again whole and
+goes through json.loads, which gives the same answer and errors.
 
 Each parser imports the kernel types of its own format when called, so
 reading a relation loads neither skylines nor collectives.
@@ -15,11 +17,12 @@ reading a relation loads neither skylines nor collectives.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 import math
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,101 +71,227 @@ def _finite_float(v, name: str) -> float:
 _CLASSES = bytes.maketrans(b"0123456789\t\n\r", b"0000000000   ")
 _DECODER = json.JSONDecoder()
 _skip_ws = json.decoder.WHITESPACE.match
-_CHUNK = 1 << 16  # characters per slice of a "pairs" scan
+_SLICE = 1 << 15  # bytes per read of a relation file
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_MAX_CELLS = np.iinfo(np.intp).max  # numpy raises ValueError, not MemoryError, beyond it
 
 
-def _scan_pairs(text: str, i: int) -> tuple[np.ndarray, int]:
-    """Like raw_decode, for the array of index pairs at text[i]: an (m, 2)
-    int64 array, with no Python object per pair, and the index after it.
-
-    The span is read in slices of about _CHUNK characters into one array
-    sized by its count of ']'.  Each slice ends just after a ']', so no
-    digit run crosses a boundary, and the slices accept what one pass over
-    the whole span would.  Raises ValueError unless every index is a run of
-    at most 18 digits with no leading zero.
-    """
-    stop = text.find('"', i)  # "pairs" holds no string, so it ends before
-    end = text.rfind("]", i, len(text) if stop < 0 else stop) + 1
-    # m + 1 ']' close a list of m pairs, as the slice shapes check; a span
-    # with no ']' asks for a negative size, which raises ValueError
-    values = np.empty(2 * (text.count("]", i, end) - 1), np.int64)
-    start, done = i, 0
-    while start < end:
-        cut = text.find("]", min(start + _CHUNK, end) - 1, end) + 1
-        done += _scan_slice(text[start:cut].encode("ascii"), start == i, cut == end, values[done:])
-        start = cut
-    return values.reshape(-1, 2), end
+class _Unrecognised(Exception):
+    """A relation file the stream does not read; the json.loads route decides it."""
 
 
-def _scan_slice(raw: bytes, first: bool, last: bool, out: np.ndarray) -> int:
-    """Read the indices of one slice, which ends just after a ']', into the
-    head of out and return how many there are.  The first slice opens the
-    list; the last one closes it and may hold no pair.  One pass classifies
-    the bytes with blanks in place, so a blank inside a number leaves two
-    digit runs and fails the ",[0,0]" shape."""
+def _scan_slice(raw: bytes, first: bool) -> tuple[np.ndarray, bool]:
+    """The indices of one slice of "pairs", which ends just after a ']', and
+    whether it closes the list.  The first slice opens the list; the
+    closing one holds one ']' more than its pairs need, and may hold no
+    pair.  One pass classifies the bytes with blanks in place, so a blank
+    inside a number leaves two digit runs and fails the ",[0,0]" shape.
+    Raises _Unrecognised unless every index is a run of at most 18 digits
+    with no leading zero."""
     cls = np.frombuffer(raw.translate(_CLASSES), np.uint8)  # digits read '0', blanks ' '
     digit = cls == 48
     keep = cls != 32
     keep[1:] &= ~(digit[1:] & digit[:-1])  # no blank, and one '0' per digit run
-    shape = b",[0,0]" * (np.count_nonzero(keep) // 6)
-    shape = (b"[" + shape[1:] if first else shape) + (b"]" if last else b"")
+    kept = cls[keep].tobytes()
+    closes = len(kept) % 6 != 0
+    shape = b",[0,0]" * (len(kept) // 6)
+    shape = (b"[" + shape[1:] if first else shape) + (b"]" if closes else b"")
+    if kept != shape:
+        raise _Unrecognised
     starts = np.flatnonzero(digit & keep)
-    lengths = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts  # raw ends in ']'
+    at = np.flatnonzero(digit[:-1] > digit[1:])  # the last digit of each run: raw ends in ']'
+    lengths = at - starts + 1
+    longest = lengths.max(initial=0)
     chars = np.frombuffer(raw, np.uint8)
-    if (
-        cls[keep].tobytes() != shape
-        or lengths.max(initial=0) > 18
-        or ((chars[starts] == 48) & (lengths > 1)).any()
-    ):
-        raise ValueError("not a list of index pairs")
-    part = out[: starts.size]
-    part[:] = 0
-    for k in range(lengths.max(initial=0)):
-        np.copyto(part, part * 10 + chars.take(starts + k, mode="clip") - 48, where=lengths > k)
-    return starts.size
+    if longest > 18 or ((chars[starts] == 48) & (lengths > 1)).any():
+        raise _Unrecognised
+    values = np.zeros(starts.size, np.int64)
+    for k in range(longest):  # the k-th digit from the right, in the runs that long
+        digits = chars.take(at, mode="clip") - np.uint8(48)
+        digits *= lengths > k
+        values += digits * _POW10[k]
+        at -= 1
+    return values, closes
 
 
-def _scan_relation(text: str) -> Optional[dict]:
-    """The top-level object with "pairs" read by _scan_pairs, one member at
-    a time, so a repeated key keeps its last value as in json.loads; None
-    where the scan does not recognise the text."""
-    doc, i, sep = {}, _skip_ws(text).end(), "{"
+class _RelationStream:
+    """One pass over a relation file in slices of _SLICE bytes, each passed
+    to `update` once.  Members other than "pairs" are decoded by raw_decode
+    from the text read so far; "pairs" is scanned by _scan_slice, slice by
+    slice, straight into the (size, size) matrix.  Consumed bytes are
+    dropped.  Raises _Unrecognised, UnicodeDecodeError or MemoryError where
+    the json.loads route must decide, as for a matrix too large to index."""
+
+    def __init__(self, fh: BinaryIO, update: Callable[[bytes], object]):
+        self.fh, self.update, self.hashed = fh, update, 0
+        self.decoder = codecs.getincrementaldecoder("utf-8")()
+        self.text, self.i = "", 0  # decoded text not yet consumed, and the cursor in it
+        self.doc: dict = {}
+        self.paired = False  # "pairs" is read
+        self.adj: Optional[np.ndarray] = None
+        self.held: list[np.ndarray] = []  # index slices read before "size"
+
+    def read(self) -> tuple[dict, np.ndarray]:
+        """The members other than "pairs", and the matrix of the pairs."""
+        if self._next() != "{":
+            raise _Unrecognised
+        sep = ","
+        while sep == ",":
+            self.i += 1
+            if self._next() != '"':
+                raise _Unrecognised
+            key = self._value(":")
+            self.i += 1
+            self._next()
+            if key in self.doc or key == "pairs" and self.paired:  # a repeated key
+                raise _Unrecognised
+            if key == "pairs":
+                self._pairs()
+            else:
+                self.doc[key] = self._value(",}")
+            sep = self._next()
+        self.i += 1
+        if sep != "}" or self._next():  # trailing data
+            raise _Unrecognised
+        if self.adj is None:
+            self._matrix()
+        return self.doc, self.adj
+
+    def _read(self, size: int = 0) -> bytes:
+        raw = self.fh.read(size or _SLICE)
+        self.update(raw)
+        self.hashed += len(raw)
+        return raw
+
+    def _more(self, size: int = 0) -> bool:
+        """Append the next slice's text to what is left; False at the end of the file."""
+        raw = self._read(size)
+        self.text = self.text[self.i :] + self.decoder.decode(raw, not raw)
+        self.i = 0
+        return bool(raw)
+
+    def _next(self) -> str:
+        """The next non-blank character, '' at the end of the file; the cursor moves to it."""
+        while True:
+            self.i = _skip_ws(self.text, self.i).end()
+            if self.i < len(self.text) or not self._more():
+                return self.text[self.i : self.i + 1]
+
+    def _value(self, follow: str):
+        """The JSON value at the cursor, taken once a character of follow is
+        seen after it: a number cut by the slice end reads as a shorter one.
+        Reads in doubling steps, so a long value costs O(its length)."""
+        size = _SLICE
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.i)
+                end = _skip_ws(self.text, end).end()
+                if end < len(self.text) and self.text[end] in follow:
+                    self.i = end
+                    return value
+            except ValueError:  # invalid, or cut by the slice end
+                pass
+            if not self._more(size):
+                raise _Unrecognised
+            size *= 2
+
+    def _pairs(self) -> None:
+        """Scan "pairs" in slices that each end just after a ']', so no digit
+        run crosses a boundary.  "pairs" holds no string, so its last ']'
+        comes before the next '"'."""
+        if self.text[self.i : self.i + 1] != "[":
+            raise _Unrecognised
+        self.paired = True
+        if "size" in self.doc:
+            self._matrix()
+        # back to bytes, with what the decoder holds of a character the slice end cut
+        data = self.text[self.i :].encode() + self.decoder.getstate()[0]
+        self.decoder.reset()
+        first, seen = True, 0  # data[:seen] holds no ']' and no '"'
+        while True:
+            stop = data.find(b'"', seen)
+            cut = data.rfind(b"]", seen, len(data) if stop < 0 else stop) + 1
+            if cut:
+                values, last = _scan_slice(data[:cut], first)
+                self._write(values)
+                data, first = data[cut:], False
+                if last:
+                    break
+            if stop >= 0:
+                raise _Unrecognised
+            seen = len(data)
+            raw = self._read()
+            if not raw:
+                raise _Unrecognised
+            data += raw
+        self.text, self.i = self.decoder.decode(data), 0
+
+    def _matrix(self) -> None:
+        size = self.doc.get("size")
+        if not _is_int(size) or size < 0 or size * size > _MAX_CELLS:
+            raise _Unrecognised
+        self.adj = np.zeros((size, size), dtype=bool)
+        for values in self.held:
+            self._write(values)
+        self.held = []
+
+    def _write(self, values: np.ndarray) -> None:
+        """Set the pairs of a slice's indices; held until "size" is read."""
+        if self.adj is None:
+            self.held.append(values)
+        elif values.max(initial=-1) < len(self.adj):  # the scan reads no negative index
+            self.adj[values[0::2], values[1::2]] = True
+        else:  # the json.loads route names the first pair out of range
+            raise _Unrecognised
+
+
+def utf8_text(raw: bytes, name) -> str:
+    """raw as UTF-8 text; a ParseError names the file otherwise."""
     try:
-        while text.startswith(sep, i):
-            key, i = _DECODER.raw_decode(text, _skip_ws(text, i + 1).end())
-            i = _skip_ws(text, i).end()
-            if not isinstance(key, str) or not text.startswith(":", i):
-                return None
-            decode = _scan_pairs if key == "pairs" else _DECODER.raw_decode
-            doc[key], i = decode(text, _skip_ws(text, i + 1).end())
-            i, sep = _skip_ws(text, i).end(), ","
-    except ValueError:  # invalid JSON, or a "pairs" the scan does not recognise
-        return None
-    if sep == "," and text.startswith("}", i) and _skip_ws(text, i + 1).end() == len(text):
-        return doc
-    return None
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} is not UTF-8 text: {exc}") from exc
 
 
-def _index_pairs(pairs: Union[np.ndarray, list], size: int) -> Union[np.ndarray, list]:
-    """The pairs checked against size.
-
-    A ParseError names the first offending pair in input order.
-    """
-    if isinstance(pairs, np.ndarray):
-        if pairs.max(initial=-1) < size:  # the scan reads no negative index
-            return pairs
-        pairs = pairs.tolist()
+def _check_pairs(pairs: list, size: int) -> None:
+    """A ParseError names the first offending pair in input order."""
     for k, p in enumerate(pairs):
         if not isinstance(p, list) or len(p) != 2 or not all(_is_int(v) for v in p):
             raise ParseError(f'"pairs"[{k}] must be a pair of integers')
         a, b = p
         if not (0 <= a < size and 0 <= b < size):
             raise ParseError(f'"pairs"[{k}] = [{a}, {b}] out of range for size {size}')
-    return pairs
 
 
-def parse_relation(text: str) -> FiniteRelation:
-    doc = _scan_relation(text) or _load_json(text)
+def parse_relation(source: Union[str, BinaryIO], sha=None) -> FiniteRelation:
+    """The relation in a JSON document, given as its text or as a binary file.
+
+    The document is streamed in slices of _SLICE bytes, and sha, where
+    given, is updated with each byte of the file once.  A file that cannot
+    seek, such as a pipe, is read whole first.  What the stream does not
+    recognise is read again whole and goes through json.loads, which gives
+    the same relation or error.
+    """
+    if isinstance(source, str):
+        text, fh = source, io.BytesIO(source.encode("utf-8", "surrogatepass"))
+    else:
+        text, fh = None, source if source.seekable() else io.BytesIO(source.read())
+    start = fh.tell()
+    stream = _RelationStream(fh, sha.update if sha is not None else lambda raw: None)
+    try:
+        doc, adj = stream.read()
+    except (_Unrecognised, UnicodeDecodeError, MemoryError):
+        doc = None
+    if doc is None:  # outside the handler, so its traceback no longer holds the stream
+        hashed, stream = stream.hashed, None
+        if text is None:
+            fh.seek(start)
+            raw = fh.read()
+            if sha is not None:
+                sha.update(memoryview(raw)[hashed:])
+            text = utf8_text(raw, getattr(source, "name", "input"))
+            del raw
+        doc, adj = _load_json(text), None
     size = doc.get("size")
     if not _is_int(size) or size < 0:
         raise ParseError('"size" must be a non-negative integer')
@@ -170,13 +299,18 @@ def parse_relation(text: str) -> FiniteRelation:
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise ParseError('"labels" must be a list of strings')
-    pairs = doc.get("pairs", [])
-    if not isinstance(pairs, (list, np.ndarray)):
-        raise ParseError('"pairs" must be a list of [a, b] index pairs')
-    checked = _index_pairs(pairs, size)
+    if adj is None:
+        pairs = doc.get("pairs", [])
+        if not isinstance(pairs, list):
+            raise ParseError('"pairs" must be a list of [a, b] index pairs')
+        _check_pairs(pairs, size)
     try:
         universe = Universe(size, tuple(labels) if labels is not None else None)
-        return FiniteRelation.from_pairs(universe, checked)
+        if adj is None:
+            if size * size > _MAX_CELLS:
+                raise MemoryError
+            return FiniteRelation.from_pairs(universe, pairs)
+        return FiniteRelation.adopt(universe, adj)
     except MemoryError as exc:
         raise ParseError(f'"size" {size} is too large to hold in memory') from exc
     except AltisetError as exc:

@@ -219,7 +219,12 @@ def _evolve_step(
     running = np.full(gx.size, np.inf)
     nxt = [0.0] * len(h)
     for group in groups:
-        np.minimum(running, _nearest(gx, gy, summits, group), out=running)
+        least = _nearest(gx, gy, summits, group)
+        np.minimum(running, least, out=running)
+        if group.size == 1:  # the group's row is its one summit's own
+            nxt[group[0]] = cell_area * int(np.count_nonzero(least <= running))
+            continue
+        del least  # one row at a time
         for x in group:
             nxt[x] = cell_area * int(np.count_nonzero(_nearest(gx, gy, summits, [x]) <= running))
     return tuple(nxt)

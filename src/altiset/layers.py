@@ -42,7 +42,7 @@ class LayerDecomposition:
 def upper_layers(rel: FiniteRelation) -> LayerDecomposition:
     """Both layer index maps and d(R); requires the AA-property."""
     adj = rel.adjacency
-    strict = adj & ~adj.T
+    strict = np.greater(adj, adj.T)
     upper = _levels(strict)
     if not upper.all():
         raise CyclicRelationError(rel.find_asym_cycle())

@@ -80,17 +80,32 @@ class FiniteRelation:
                 a, b = pairs[int(bad.argmax())]
                 raise SubsetIndexError(f"pair ({a},{b}) out of range for size {n}")
             adj[idx[:, 0], idx[:, 1]] = True
-        return cls(universe, adj)
+        return cls.adopt(universe, adj)
+
+    @classmethod
+    def adopt(cls, universe: Universe, adj: np.ndarray) -> "FiniteRelation":
+        """Relation over adj, an (n, n) bool array that nothing else holds:
+        it is made read-only and kept, where the constructor copies."""
+        n = universe.size
+        if adj.dtype != bool or adj.shape != (n, n):
+            raise DimensionError(
+                f"adjacency {adj.dtype} {adj.shape} is not a bool matrix of universe size {n}"
+            )
+        adj.setflags(write=False)
+        rel = cls.__new__(cls)
+        object.__setattr__(rel, "universe", universe)
+        object.__setattr__(rel, "adjacency", adj)
+        return rel
 
     @classmethod
     def empty(cls, universe: Universe) -> "FiniteRelation":
         n = universe.size
-        return cls(universe, np.zeros((n, n), dtype=bool))
+        return cls.adopt(universe, np.zeros((n, n), dtype=bool))
 
     @classmethod
     def full(cls, universe: Universe) -> "FiniteRelation":
         n = universe.size
-        return cls(universe, np.ones((n, n), dtype=bool))
+        return cls.adopt(universe, np.ones((n, n), dtype=bool))
 
     @classmethod
     def induce(cls, universe: Universe, keys: Sequence, strict: bool = True) -> "FiniteRelation":
@@ -102,7 +117,7 @@ class FiniteRelation:
             )
         k = key_array(keys)
         adj = k[:, None] < k[None, :] if strict else k[:, None] <= k[None, :]
-        return cls(universe, adj)
+        return cls.adopt(universe, adj)
 
     # -- basic queries ----------------------------------------------------
 
@@ -158,7 +173,7 @@ class FiniteRelation:
         returned list has first == last index.
         """
         adj = self.adjacency
-        strict = adj & ~adj.T
+        strict = np.greater(adj, adj.T)
         unplaced = _levels(strict) == 0
         if not unplaced.any():
             return None
@@ -217,19 +232,21 @@ def _levels(strict: np.ndarray) -> np.ndarray:
     n = strict.shape[0]
     # row f of dominated_by lists the elements that f strictly dominates
     dominated_by = np.ascontiguousarray(strict.T)
-    pending = strict.sum(axis=1)  # strict dominators not yet placed
+    # strict dominators not yet placed; -1 once the element is placed
+    pending = strict.sum(axis=1)
     level = np.zeros(n, dtype=np.int64)
     frontier = np.flatnonzero(pending == 0)
     k = 0
     while frontier.size:
         k += 1
         level[frontier] = k
-        # summed in blocks of rows: a wide frontier never copies the matrix
-        freed = dominated_by[frontier[:_BLOCK]].sum(axis=0)
-        for s in range(_BLOCK, frontier.size, _BLOCK):
-            freed += dominated_by[frontier[s : s + _BLOCK]].sum(axis=0)
-        pending -= freed
-        frontier = np.flatnonzero((pending == 0) & (freed > 0))
+        pending[frontier] = -1
+        if frontier.size == 1:
+            pending -= dominated_by[frontier[0]]
+        else:  # summed in blocks of rows: a wide frontier never copies the matrix
+            for s in range(0, frontier.size, _BLOCK):
+                pending -= dominated_by[frontier[s : s + _BLOCK]].sum(axis=0)
+        frontier = np.flatnonzero(pending == 0)
     return level
 
 

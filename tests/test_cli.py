@@ -2,11 +2,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from altiset import cli
 from altiset.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _read, build_parser, main
 from conftest import peak_bytes
 from test_package import installed_tracer, load_perfbench
@@ -165,6 +169,52 @@ def test_input_digest_is_the_sha256_of_the_raw_bytes(raw, tmp_path):
     assert _read(str(path)) == (raw.decode("utf-8"), hashlib.sha256(raw).hexdigest())
 
 
+def test_relation_piped_through_stdin(capsys):
+    path = FIXTURES / "chain3.json"
+    assert main(["--no-timestamp", "layers", "--relation", str(path)]) == EXIT_OK
+    from_file = capsys.readouterr().out
+    piped = subprocess.run(
+        [sys.executable, "-m", "altiset.cli", "--no-timestamp", "layers", "--relation", "/dev/stdin"],
+        input=path.read_bytes(), capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert piped.stdout.decode() == from_file
+
+
+def many_slices_relation(n: int = 300) -> tuple[str, list]:
+    """A total order whose file spans many 32 KiB slices."""
+    pairs = [[a, b] for a in range(n) for b in range(a + 1, n)]
+    return json.dumps({"size": n, "pairs": pairs}), pairs
+
+
+@pytest.mark.parametrize("where", ["pairs", "labels"])
+def test_non_utf8_byte_in_a_later_slice(where, tmp_path, capsys):
+    text, pairs = many_slices_relation()
+    if where == "pairs":  # inside "pairs", far from the first slice
+        raw = text.encode()
+        k = raw.index(b"[250, 251]")
+        raw = raw[:k] + b"\xe9" + raw[k:]
+    else:
+        raw = text[:-1].encode() + b', "labels": ["caf\xe9"]}'
+    path = tmp_path / "latin1.json"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        raw.decode("utf-8")
+    assert main(["--no-timestamp", "layers", "--relation", str(path)]) == EXIT_IO
+    assert capsys.readouterr().err == f"altiset: parse error: {path} is not UTF-8 text: {exc.value}\n"
+
+
+def test_out_of_range_pair_in_a_later_slice_is_named(tmp_path, capsys):
+    text, pairs = many_slices_relation()
+    bad = pairs.index([250, 251])
+    text = text.replace("[250, 251]", "[250, 300]").replace("[260, 261]", "[301, 0]")
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["--no-timestamp", "altiset", "--relation", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f'altiset: parse error: "pairs"[{bad}] = [250, 300] out of range for size 300\n'
+
+
 @pytest.mark.parametrize("text,ref,message", [
     ("x,h\n1,5\n2,3\n", "0,0", "2 columns (x,h) do not fit a euclidean-2d space"),
     ("x,y,h\n0,0,5\n1,1,3\n", "0", "3 columns (x,y,h) do not fit a real-line space"),
@@ -263,6 +313,18 @@ class TestExitCodes:
         big.write_text('{"size": 1000000000, "pairs": []}')
         assert main(["--no-timestamp", "layers", "--relation", str(big)]) == EXIT_IO
         assert '"size" 1000000000 is too large' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"size": 4000000000, "pairs": []}', '"size" 4000000000 is too large to hold in memory'),
+        ('{"size": 4000000000, "pairs": [[0, 4000000001]]}',
+         '"pairs"[0] = [0, 4000000001] out of range for size 4000000000'),
+    ], ids=["empty", "out-of-range"])
+    def test_relation_beyond_numpy_indexing_is_parse_error(self, tmp_path, capsys, text, message):
+        # a (4e9, 4e9) shape makes numpy raise ValueError, not MemoryError
+        big = tmp_path / "big.json"
+        big.write_text(text)
+        assert main(["--no-timestamp", "altiset", "--relation", str(big)]) == EXIT_IO
+        assert capsys.readouterr().err == f"altiset: parse error: {message}\n"
 
     def test_out_of_memory_is_two(self, capsys, monkeypatch):
         # stands in for the level sweep of a relation too large to layer
@@ -385,10 +447,10 @@ def test_correlate_matches_library(tmp_path, capsys):
         }
 
 
-def test_layers_peak_memory_stays_near_the_text(tmp_path):
-    """A 2 MB relation file of about 200,000 pairs: the parse holds 3.2 MB of
-    int64 indices and the layering a few 0.56 MB matrices; nothing else
-    grows with the text."""
+def test_layers_peak_memory_stays_near_the_matrix(tmp_path):
+    """A 2 MB relation file of about 200,000 pairs: the parse holds the
+    0.56 MB matrix and one slice of the file, and the layering a few more
+    such matrices; nothing grows with the file."""
     n, rng = 750, np.random.default_rng(750)
     rank = rng.permutation(n)
     drawn = rng.random((n, n)) < 0.4
@@ -398,5 +460,5 @@ def test_layers_peak_memory_stays_near_the_text(tmp_path):
     path.write_text(json.dumps({"size": n, "pairs": np.argwhere(adj).tolist()}, separators=(",", ":")))
     out = tmp_path / "out.json"
     argv = ["--no-timestamp", "-o", str(out), "layers", "--relation", str(path)]
-    assert peak_bytes(main, argv) <= 10_000_000
+    assert peak_bytes(main, argv) <= 3_000_000
     assert len(json.loads(out.read_text())["result"]["upper_index"]) == n

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
 from unittest import mock
@@ -85,15 +87,45 @@ class TestRelationFormat:
             datasets.parse_relation(f'{{"size": 2, "labels": {labels}, "pairs": []}}')
 
 
-def parse_outcome(text: str, scan: bool = True):
+def parse_outcome(text: str, stream: bool = True):
     """parse_relation's relation, or its error's type and message;
-    scan=False forces the json.loads route."""
-    route = mock.patch.object(datasets, "_scan_relation", return_value=None)
-    with contextlib.nullcontext() if scan else route:
+    stream=False forces the json.loads route."""
+    route = mock.patch.object(
+        datasets._RelationStream, "read", side_effect=datasets._Unrecognised
+    )
+    with contextlib.nullcontext() if stream else route:
         try:
             return datasets.parse_relation(text)
         except AltisetError as exc:
             return type(exc).__name__, str(exc)
+
+
+def stream_read(text: str):
+    """The stream's (members, matrix) for text, or None where it hands the
+    document to the json.loads route."""
+    fh = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    try:
+        return datasets._RelationStream(fh, lambda raw: None).read()
+    except (datasets._Unrecognised, UnicodeDecodeError, MemoryError):
+        return None
+
+
+def pairs_of(adj: np.ndarray) -> set:
+    return set(zip(*np.nonzero(adj)))
+
+
+# bytes per read: one, a few (so slices cut numbers, keys and characters), the default
+SLICES = [1, 7, None]
+# hypothesis examples per slice size, for valid documents and for their mutants
+VALID_EXAMPLES = {1: 120, 7: 200, None: 300}
+MUTANT_EXAMPLES = {1: 150, 7: 300, None: 400}
+
+
+def slices(size):
+    """Reads of size bytes for the stream; None keeps the default."""
+    if size is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(datasets, "_SLICE", size)
 
 
 BLANKS = st.sampled_from(["", "", " ", "\n  ", "\t\r"])
@@ -134,30 +166,37 @@ MUTATION_CHARS = '[]{},:" 0123456789-.eEtruefalsn\\'
 
 
 def check_valid_document(text: str) -> None:
+    """The stream reads every valid document but one with a repeated key,
+    which json.loads reads in its place."""
     doc = json.loads(text)
+    keys = [k for k, _ in json.loads(text, object_pairs_hook=lambda kv: kv)]
     universe = Universe(doc["size"], tuple(doc["labels"]) if "labels" in doc else None)
-    assert datasets._scan_relation(text) is not None
+    assert (stream_read(text) is not None) == (len(keys) == len(set(keys)))
     assert datasets.parse_relation(text) == FiniteRelation.from_pairs(universe, doc["pairs"])
 
 
 def check_mutant(text: str, data) -> None:
-    """One to three character edits of a valid document: whatever the scan
-    accepts, json.loads reads the same, with the same parse outcome."""
+    """One to three character edits of a valid document: whatever the
+    stream accepts, json.loads reads the same, with the same parse outcome."""
     for _ in range(data.draw(st.integers(1, 3))):
         k = data.draw(st.integers(0, len(text)))
         c = data.draw(st.sampled_from(MUTATION_CHARS))
         text = data.draw(st.sampled_from([
             text[:k] + c + text[k:], text[:k] + text[k + 1:], text[:k] + c + text[k + 1:],
         ]))
-    doc = datasets._scan_relation(text)
-    if doc is None:
-        return  # parse_relation takes the json.loads route itself
-    if isinstance(doc.get("pairs"), np.ndarray):
-        doc["pairs"] = doc["pairs"].tolist()
-    assert doc == json.loads(text)
-    size = doc.get("size")
-    if not isinstance(size, int) or size <= 2000:  # skip mutants with huge matrices
-        assert parse_outcome(text) == parse_outcome(text, scan=False)
+    try:
+        expected = json.loads(text)
+    except ValueError:
+        expected = None
+    size = expected.get("size") if isinstance(expected, dict) else None
+    if isinstance(size, int) and size > 2000:
+        return  # skip mutants with huge matrices
+    read = stream_read(text)
+    if read is not None:
+        members, adj = read
+        assert members == {k: v for k, v in expected.items() if k != "pairs"}
+        assert pairs_of(adj) == set(map(tuple, expected.get("pairs", [])))
+    assert parse_outcome(text) == parse_outcome(text, stream=False)
 
 
 UNRECOGNISED = [
@@ -168,10 +207,10 @@ UNRECOGNISED = [
 
 
 def check_unrecognised(text: str) -> None:
-    assert datasets._scan_relation(text) is None
+    assert stream_read(text) is None
     outcome = parse_outcome(text)
     assert outcome[0] == "ParseError"
-    assert outcome == parse_outcome(text, scan=False)
+    assert outcome == parse_outcome(text, stream=False)
 
 
 AROUND_PAIRS = [
@@ -183,65 +222,142 @@ AROUND_PAIRS = [
     '{"size": 3, "pairs": [[0, 1]], "pairs": [[2, 1], [999999999999999999, 0]]}',
     '{"size": 3, "pairs": [[0, 1]],}',
     '[{"size": 3, "pairs": [[0, 1]]}]',
+    '{"pairs": [[0, 1], [2, 3]], "size": 3}',
+    '{"size": 3, "pairs": [[0, 1]], "size": 1}',
+    '{"size": 2, "size": 3, "pairs": [[0, 2]]}',
+    '{"size": -1, "pairs": []}',
+    '{"size": 2, "pairs": null}',
+    '{"size": 2, "pairs": []',
+    '{"size": 2.5, "pairs": []}',
+    '{"size": 2, "labels": ["a", "a"], "pairs": [[0, 1]]}',
+    '{}',
+    '',
+    '\ufeff{"size": 2, "pairs": []}',
+    '{"size": 2, "pairs": [[0, 1]], "labels": "\ud800"}',
 ]
 
 
-class TestPairsScan:
-    """The scan of "pairs" against the json.loads route it falls back to."""
+class TestRelationStream:
+    """The streamed relation file against the json.loads route it falls back to."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(relation_documents())
-    def test_valid_documents_take_the_scan(self, text):
-        check_valid_document(text)
+    @pytest.mark.parametrize("size", SLICES)
+    def test_valid_documents_take_the_stream(self, size):
+        @settings(max_examples=VALID_EXAMPLES[size], deadline=None)
+        @given(text=relation_documents())
+        def check(text):
+            with slices(size):
+                check_valid_document(text)
 
-    @settings(max_examples=200, deadline=None)
-    @given(relation_documents())
-    def test_valid_documents_take_the_scan_in_7_character_slices(self, text):
-        with mock.patch.object(datasets, "_CHUNK", 7):
-            check_valid_document(text)
+        check()
 
-    @settings(max_examples=400, deadline=None)
-    @given(relation_documents(), st.data())
-    def test_mutants_match_the_json_route(self, text, data):
-        check_mutant(text, data)
+    @pytest.mark.parametrize("size", SLICES)
+    def test_mutants_match_the_json_route(self, size):
+        @settings(max_examples=MUTANT_EXAMPLES[size], deadline=None)
+        @given(text=relation_documents(), data=st.data())
+        def check(text, data):
+            with slices(size):
+                check_mutant(text, data)
 
-    @settings(max_examples=300, deadline=None)
-    @given(relation_documents(), st.data())
-    def test_mutants_match_the_json_route_in_7_character_slices(self, text, data):
-        with mock.patch.object(datasets, "_CHUNK", 7):
-            check_mutant(text, data)
+        check()
 
+    @pytest.mark.parametrize("size", SLICES)
     @pytest.mark.parametrize("pairs", UNRECOGNISED)
-    def test_unrecognised_pairs_keep_the_json_route_errors(self, pairs):
-        check_unrecognised('{"size": 3, "pairs": ' + pairs + "}")
+    def test_unrecognised_pairs_keep_the_json_route_errors(self, pairs, size):
+        with slices(size):
+            check_unrecognised('{"size": 3, "pairs": ' + pairs + "}")
 
-    @pytest.mark.parametrize("chunk", [7, 1])
+    @pytest.mark.parametrize("size", SLICES)
     @pytest.mark.parametrize("pairs", UNRECOGNISED)
-    def test_unrecognised_pairs_in_later_slices(self, pairs, chunk, monkeypatch):
-        monkeypatch.setattr(datasets, "_CHUNK", chunk)
-        check_unrecognised('{"size": 3, "pairs": [[0, 1], ' + pairs[1:] + "}")
+    def test_unrecognised_pairs_in_later_slices(self, pairs, size):
+        with slices(size):
+            check_unrecognised('{"size": 3, "pairs": [[0, 1], ' + pairs[1:] + "}")
 
+    @pytest.mark.parametrize("size", SLICES)
     @pytest.mark.parametrize("text", AROUND_PAIRS)
-    def test_documents_around_pairs(self, text):
-        assert parse_outcome(text) == parse_outcome(text, scan=False)
+    def test_documents_around_pairs(self, text, size):
+        with slices(size):
+            assert parse_outcome(text) == parse_outcome(text, stream=False)
 
-    @pytest.mark.parametrize("chunk", [7, 1])
-    @pytest.mark.parametrize("text", AROUND_PAIRS)
-    def test_documents_around_pairs_in_small_slices(self, text, chunk, monkeypatch):
-        monkeypatch.setattr(datasets, "_CHUNK", chunk)
-        assert parse_outcome(text) == parse_outcome(text, scan=False)
-
-    @pytest.mark.parametrize("chunk", [7, 1])
+    @pytest.mark.parametrize("size", SLICES)
     @pytest.mark.parametrize("text,pairs", [
         ('{"size":9,"pairs":[[0,0\n  ]]}', [[0, 0]]),  # the last slice is the closing ']'
         ('{"size":9,"pairs":[[0,0] \n ]}', [[0, 0]]),  # blanks before the closing ']'
         ('{"size":9,"pairs":[ ]}', []),
-        ('{"size":9,"pairs":[[8,10],\t[0,7] ,[123456789012345678,0]]}',
-         [[8, 10], [0, 7], [123456789012345678, 0]]),
+        ('{"size":11,"pairs":[[8,10],\t[0,7] ,[10,0]]}', [[8, 10], [0, 7], [10, 0]]),
+        ('{"pairs":[[8,10],[0,7]],"size":11}', [[8, 10], [0, 7]]),  # "size" after "pairs"
+        ('{"pairs":[[8,10],[0,7]],"size":11, "pairs":[[1,2]]}', None),  # a repeated "pairs"
     ])
-    def test_small_slices_read_the_pairs(self, text, pairs, chunk, monkeypatch):
-        monkeypatch.setattr(datasets, "_CHUNK", chunk)
-        assert datasets._scan_relation(text)["pairs"].tolist() == pairs
+    def test_small_slices_read_the_pairs(self, text, pairs, size):
+        with slices(size):
+            read = stream_read(text)
+        if pairs is None:
+            assert read is None
+        else:
+            assert pairs_of(read[1]) == set(map(tuple, pairs))
+
+    def test_slice_scan_reads_18_digit_indices(self):
+        values, last = datasets._scan_slice(b"[[8,10],\t[0,7] ,[123456789012345678,0]]", True)
+        assert values.tolist() == [8, 10, 0, 7, 123456789012345678, 0] and last
+        values, last = datasets._scan_slice(b",[1,2]", False)
+        assert values.tolist() == [1, 2] and not last
+
+    @pytest.mark.parametrize("size", SLICES)
+    def test_size_after_pairs_takes_the_stream(self, size, monkeypatch):
+        text = '{"pairs": [[0, 1], [2, 1]], "labels": ["é", "b", "c"], "size": 3}'
+        monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
+        with slices(size):
+            rel = datasets.parse_relation(text)
+        assert set(rel.pairs()) == {(0, 1), (2, 1)}
+        assert rel.universe.labels == ("é", "b", "c")
+
+    @pytest.mark.parametrize("size", SLICES)
+    def test_non_ascii_labels_take_the_stream(self, size, monkeypatch):
+        # with one byte per read, each multi-byte character is cut by a slice end
+        labels = ["café", "x\"y", "α", "山\U0001f5fb"]
+        text = json.dumps({"size": 4, "labels": labels, "pairs": [[2, 0], [0, 1]]},
+                          ensure_ascii=False)
+        monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
+        with slices(size):
+            rel = datasets.parse_relation(text)
+        assert rel.universe.labels == tuple(labels)
+        assert set(rel.pairs()) == {(2, 0), (0, 1)}
+
+    @pytest.mark.parametrize("size", SLICES)
+    def test_huge_size_is_a_parse_error(self, size):
+        with slices(size):
+            outcome = parse_outcome('{"size": 1000000000, "pairs": []}')
+        assert outcome == ("ParseError", '"size" 1000000000 is too large to hold in memory')
+
+    @pytest.mark.parametrize("size", SLICES)
+    @pytest.mark.parametrize("text,message", [
+        ('{"size": 4000000000, "pairs": [[0, 4000000001]]}',
+         '"pairs"[0] = [0, 4000000001] out of range for size 4000000000'),
+        ('{"size": 4000000000, "pairs": [[0, 1]], x',
+         "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 41 (char 40)"),
+        ('{"size": 4000000000, "pairs": [], "labels": [1]}', '"labels" must be a list of strings'),
+        ('{"size": 4000000000, "pairs": []}', '"size" 4000000000 is too large to hold in memory'),
+        ('{"pairs": [], "size": 100000000000000000000}',
+         '"size" 100000000000000000000 is too large to hold in memory'),
+    ], ids=["out-of-range", "invalid-json", "labels", "empty", "beyond-int64"])
+    def test_size_beyond_numpy_indexing_is_a_parse_error(self, text, message, size):
+        # numpy raises ValueError for these shapes, where a smaller huge size gives MemoryError
+        with slices(size):
+            assert parse_outcome(text) == ("ParseError", message)
+
+    def test_matrix_is_kept_not_copied(self):
+        n = 2000  # a 4 MB matrix, which a copy would double
+        rel = datasets.parse_relation(f'{{"size": {n}, "pairs": [[0, 1]]}}')
+        assert not rel.adjacency.flags.writeable
+        assert peak_bytes(datasets.parse_relation, f'{{"size": {n}, "pairs": []}}') < 1.5 * n * n
+
+    @pytest.mark.parametrize("size", SLICES)
+    def test_file_hash_covers_each_byte_once(self, size):
+        text = '{"labels": ["a", "b"], "size": 2, "pairs": [[0, 1], [1, 1]]}  \n'
+        for raw in (text.encode(), text.replace("[1, 1]", "[1, 2]").encode(), b"{\xe9}"):
+            sha = hashlib.sha256()
+            with slices(size), contextlib.suppress(ParseError):
+                datasets.parse_relation(io.BytesIO(raw), sha)
+            assert sha.hexdigest() == hashlib.sha256(raw).hexdigest()
 
     @pytest.fixture(scope="class")
     def total_order(self):
@@ -250,35 +366,29 @@ class TestPairsScan:
         return FiniteRelation.from_pairs(Universe(n), pairs), {"size": n, "pairs": pairs}
 
     @pytest.mark.parametrize("indent", [None, 2])
-    def test_total_order_takes_the_scan(self, total_order, indent, monkeypatch):
+    def test_total_order_takes_the_stream(self, total_order, indent, monkeypatch):
         rel, doc = total_order
         text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
-        assert len(text) > 20 * datasets._CHUNK  # read in many slices
+        assert len(text) > 20 * datasets._SLICE  # read in many slices
         monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
         assert datasets.parse_relation(text) == rel
-        assert datasets._scan_relation(text)["pairs"].tolist() == doc["pairs"]
+        assert np.array_equal(stream_read(text)[1], rel.adjacency)
 
-    def test_labelled_relation_takes_the_scan(self, monkeypatch):
-        text = '{"labels": ["caf\u00e9", "x\\"y", "\u03b1"], "pairs": [[2, 0], [0, 1]], "size": 3}'
-        expected = json.loads(text)
-        monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
-        rel = datasets.parse_relation(text)
-        assert rel.universe.labels == tuple(expected["labels"])
-        assert set(rel.pairs()) == {(2, 0), (0, 1)}
-
-    def test_scan_peak_memory_is_below_json_loads(self, total_order):
+    def test_stream_peak_memory_is_below_json_loads(self, total_order):
         _, doc = total_order
         for indent in (None, 2):
             text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
             assert peak_bytes(datasets.parse_relation, text) <= peak_bytes(json.loads, text), indent
 
     @pytest.mark.parametrize("indent", [None, 2])
-    def test_scan_peak_memory_does_not_grow_with_the_text(self, total_order, indent):
-        # 179,700 pairs: 2.9 MB of int64 indices and a 0.36 MB matrix; the
-        # text is 1.7 MB compact and 6.0 MB with indent=2
+    def test_file_parse_peaks_below_the_file_size(self, total_order, indent, tmp_path):
+        # 179,700 pairs: the file is 1.7 MB compact and 6.0 MB with indent=2,
+        # the matrix 0.36 MB
         _, doc = total_order
-        text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
-        assert peak_bytes(datasets.parse_relation, text) <= 8_000_000
+        path = tmp_path / "total600.json"
+        path.write_text(json.dumps(doc, indent=indent, separators=None if indent else (",", ":")))
+        with open(path, "rb") as fh:
+            assert peak_bytes(datasets.parse_relation, fh) < path.stat().st_size
 
 
 class TestOrderSystemFormat:
