@@ -2,7 +2,12 @@
 
 A relation is stored as a dense boolean adjacency matrix over an indexed
 universe; row = first argument.  All operators are pure and return fresh
-relations.
+relations; one that builds its own matrix keeps it through `adopt`.
+
+The strict part of R -- b strictly dominates a when (a, b) is in R and
+(b, a) is not -- is never held beside a transposed copy: the Kahn pass
+takes it in the orientation it reads by rows, the cycle walk computes one
+row at a time, and `altiset` tests `_BLOCK` rows at a time.
 """
 
 from __future__ import annotations
@@ -146,7 +151,8 @@ class FiniteRelation:
 
     def asym_interior(self) -> "FiniteRelation":
         """Strict-domination part: keep (a,b) only when (b,a) is absent."""
-        return FiniteRelation(self.universe, self.adjacency & ~self.adjacency.T)
+        adj = self.adjacency
+        return FiniteRelation.adopt(self.universe, np.greater(adj, adj.T))
 
     def transitive_closure(self) -> "FiniteRelation":
         """Squares in float32, whose path counts are exact while n < 2**24."""
@@ -159,7 +165,7 @@ class FiniteRelation:
             adj = step
 
     def complementary_inversion(self) -> "FiniteRelation":
-        return FiniteRelation(self.universe, ~self.adjacency.T)
+        return FiniteRelation.adopt(self.universe, np.logical_not(self.adjacency.T, order="C"))
 
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.adjacency, self.adjacency.T))
@@ -167,21 +173,22 @@ class FiniteRelation:
     def find_asym_cycle(self) -> Optional[list[int]]:
         """A cycle of the digraph (A, asym R), or None if acyclic.
 
-        Walks the residue that the Kahn pass leaves unplaced: each such
-        element has an unplaced strict dominator, so stepping to one repeats
-        an element within n steps, and the repeat closes a cycle.  The
-        returned list has first == last index.
+        Walks the residue that the upper Kahn pass leaves unplaced: each
+        such element has an unplaced strict dominator, so stepping to one
+        repeats an element within n steps, and the repeat closes a cycle.
+        The pass's matrix is freed before the walk, which computes the
+        strict dominators of v on the fly.  The returned list has
+        first == last index.
         """
         adj = self.adjacency
-        strict = np.greater(adj, adj.T)
-        unplaced = _levels(strict) == 0
+        unplaced = _levels(np.greater(adj.T, adj)) == 0
         if not unplaced.any():
             return None
         walk: dict[int, int] = {}  # element -> its step on the walk
         v = int(unplaced.argmax())
         while v not in walk:
             walk[v] = len(walk)
-            v = int((strict[v] & unplaced).argmax())
+            v = int(((adj[v] > adj[:, v]) & unplaced).argmax())
         return list(walk)[walk[v]:] + [v]
 
     def has_aa_property(self) -> bool:
@@ -194,17 +201,25 @@ class FiniteRelation:
         """All significant (non-dominated) elements of the restriction to subset.
 
         a is significant iff no b in the subset strictly dominates it,
-        i.e. (a,b) in R and (b,a) not in R.
+        i.e. (a,b) in R and (b,a) not in R.  Tested `_BLOCK` rows at a
+        time against every column, masked to the subset, so no copy of the
+        restriction is made.
         """
+        adj, n = self.adjacency, self.universe.size
         if subset is None:
-            idx = np.arange(self.universe.size)
+            idx = np.arange(n)
         else:
             idx = np.array(self.universe.check_subset(subset), dtype=int)
-        if idx.size == 0:
-            return frozenset()
-        sub = self.adjacency[np.ix_(idx, idx)]
-        dominated = (sub & ~sub.T).any(axis=1)
-        return frozenset(int(i) for i in idx[~dominated])
+        member = np.zeros(n, dtype=bool)
+        member[idx] = True
+        dominated = np.zeros(idx.size, dtype=bool)
+        for s in range(0, idx.size, _BLOCK):
+            rows = idx[s : s + _BLOCK]
+            block = adj[rows]
+            np.greater(block, adj[:, rows].T, out=block)  # b strictly dominates rows[i]
+            block &= member
+            dominated[s : s + _BLOCK] = block.any(axis=1)
+        return frozenset(idx[~dominated].tolist())
 
     def restrict(self, subset: Iterable[int]) -> tuple["FiniteRelation", tuple[int, ...]]:
         """Relation on a re-indexed sub-universe, plus old-index mapping."""
@@ -218,22 +233,22 @@ class FiniteRelation:
         return FiniteRelation(sub_universe, adj), idx
 
 
-_BLOCK = 256  # frontier rows summed at once in _levels
+_BLOCK = 256  # rows summed at once in _levels, and tested at once in altiset
 
 
-def _levels(strict: np.ndarray) -> np.ndarray:
-    """Kahn's pass by levels over a strict domination matrix.
+def _levels(dominates: np.ndarray) -> np.ndarray:
+    """Kahn's pass by levels over a strict domination matrix, read by rows.
 
-    strict[a, b] means b strictly dominates a.  Level 1 holds the elements
+    dominates[f, a] means f strictly dominates a, so row f lists the
+    elements f dominates: for R's upper pass that is np.greater(adj.T, adj),
+    for the lower pass np.greater(adj, adj.T).  Level 1 holds the elements
     with no dominator, level k + 1 those whose last dominator left at
     level k.  Returns the 1-based level of each element; 0 marks the
     residue that a cycle leaves unplaced.
     """
-    n = strict.shape[0]
-    # row f of dominated_by lists the elements that f strictly dominates
-    dominated_by = np.ascontiguousarray(strict.T)
+    n = dominates.shape[0]
     # strict dominators not yet placed; -1 once the element is placed
-    pending = strict.sum(axis=1)
+    pending = dominates.sum(axis=0)
     level = np.zeros(n, dtype=np.int64)
     frontier = np.flatnonzero(pending == 0)
     k = 0
@@ -242,10 +257,10 @@ def _levels(strict: np.ndarray) -> np.ndarray:
         level[frontier] = k
         pending[frontier] = -1
         if frontier.size == 1:
-            pending -= dominated_by[frontier[0]]
+            pending -= dominates[frontier[0]]
         else:  # summed in blocks of rows: a wide frontier never copies the matrix
             for s in range(0, frontier.size, _BLOCK):
-                pending -= dominated_by[frontier[s : s + _BLOCK]].sum(axis=0)
+                pending -= dominates[frontier[s : s + _BLOCK]].sum(axis=0)
         frontier = np.flatnonzero(pending == 0)
     return level
 
@@ -272,4 +287,4 @@ def union(relations: Sequence[FiniteRelation]) -> FiniteRelation:
                 f"universe sizes differ: {r.universe.size} vs {first.universe.size}"
             )
         adj |= r.adjacency
-    return FiniteRelation(first.universe, adj)
+    return FiniteRelation.adopt(first.universe, adj)

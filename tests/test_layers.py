@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from altiset.layers import (
     upper_layers,
 )
 from altiset.oracles import apply_operator, chromatic_number_oracle
+from altiset import relation
 from altiset.relation import FiniteRelation, Universe
 
 from conftest import peak_bytes, random_aa_relation, random_relation
@@ -35,10 +37,24 @@ CYCLE3 = rel(3, [(0, 1), (1, 2), (2, 0)])
 
 class TestUpperLayers:
     def test_antichain_peak_memory(self):
-        # the strict part and its transpose; the frontier of all n elements
-        # is summed in blocks, never copied whole
+        # one strict matrix per Kahn pass, freed before the next; the
+        # frontier of all n elements is summed in blocks, never copied whole
         n = 2000
-        assert peak_bytes(upper_layers, FiniteRelation.empty(Universe(n))) < 2.5 * n * n
+        assert peak_bytes(upper_layers, FiniteRelation.empty(Universe(n))) < 1.25 * n * n
+
+    @pytest.mark.parametrize("shape", ["total-order", "aa"])
+    def test_peak_memory_is_one_work_matrix(self, shape):
+        n = 2000
+        if shape == "total-order":  # d = n one-element frontiers
+            r = FiniteRelation.induce(Universe(n), list(range(n)))
+        else:  # random_aa_relation's shape, drawn in numpy
+            rng = np.random.default_rng(0)
+            rank = rng.permutation(n)
+            drawn = rng.random((n, n)) < 0.4
+            sym = drawn & (rank[:, None] > rank[None, :]) & (rng.random((n, n)) < 0.5)
+            up = drawn & (rank[:, None] <= rank[None, :])
+            r = FiniteRelation.adopt(Universe(n), up | sym | sym.T)
+        assert peak_bytes(upper_layers, r) <= 1.25 * n * n
 
     def test_chain(self):
         d = upper_layers(CHAIN3)
@@ -160,6 +176,63 @@ class TestLayersMatchPeeling:
         d = upper_layers(r)
         assert (d.upper_index, d.lower_index) == peel_oracle(r)
         assert d.class_count > 5
+
+
+@st.composite
+def small_relations(draw):
+    """Up to 12 elements with loops and symmetric pairs; the strict edges go
+    upward in a hidden order (an AA relation) or anywhere, closing cycles."""
+    n = draw(st.integers(0, 12))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+    rank = draw(st.permutations(range(n)))
+    aa = draw(st.booleans())
+    pairs = []
+    for k, cell in enumerate(cells):
+        a, b = divmod(k, n)
+        if cell == 3 or (cell and a == b):  # a symmetric pair or a loop
+            pairs += [(a, b), (b, a)]
+        elif cell:
+            pairs.append((a, b) if not aa or rank[a] < rank[b] else (b, a))
+    subset = draw(st.sets(st.integers(0, max(n - 1, 0)))) if n else set()
+    return rel(n, pairs), subset
+
+
+def peel_by_operator(op, r):
+    """Indices by applying op until it stalls, and the elements left behind."""
+    index = [0] * r.universe.size
+    remaining, i = frozenset(range(r.universe.size)), 0
+    while remaining:
+        rest = apply_operator(op, r, remaining)
+        if rest == remaining:
+            break
+        i += 1
+        for x in remaining - rest:
+            index[x] = i
+        remaining = rest
+    return tuple(index), remaining
+
+
+class TestAcrossBlockEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(small_relations())
+    def test_blocked_routes_match_the_definitions(self, case):
+        r, subset = case
+        for block in (1, 2, relation._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(relation, "_BLOCK", block)
+                upper, left = peel_by_operator(UPPER, r)
+                cycle = r.find_asym_cycle()
+                if left:
+                    assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1 >= 2
+                    for a, b in zip(cycle, cycle[1:]):
+                        assert (a, b) in r and (b, a) not in r
+                else:
+                    assert cycle is None
+                    lower, _ = peel_by_operator(LOWER, r)
+                    d = upper_layers(r)
+                    assert (d.upper_index, d.lower_index) == (upper, lower)
+                assert r.altiset() == oracles.altiset_bruteforce(r)
+                assert r.altiset(subset) == oracles.altiset_bruteforce(r, subset)
 
 
 class TestOperators:

@@ -7,7 +7,7 @@ from altiset.errors import DimensionError, SubsetIndexError
 from altiset.oracles import altiset_bruteforce
 from altiset.relation import FiniteRelation, Universe, union
 
-from conftest import random_aa_relation, random_relation
+from conftest import peak_bytes, random_aa_relation, random_relation
 
 
 def rel(size, pairs):
@@ -102,6 +102,17 @@ class TestUnion:
 
 
 class TestAdjustments:
+    @pytest.mark.parametrize("op", [
+        FiniteRelation.asym_interior,
+        FiniteRelation.complementary_inversion,
+        lambda r: union([r, r]),
+    ], ids=["asym_interior", "complementary_inversion", "union"])
+    def test_fresh_matrix_is_kept_not_copied(self, op):
+        n = 2000
+        r = FiniteRelation.induce(Universe(n), list(range(n)), strict=False)
+        assert peak_bytes(op, r) <= 1.1 * n * n
+        assert op(r).adjacency.flags.c_contiguous
+
     def test_asym_interior(self):
         assert rel(3, [(0, 1), (1, 0), (1, 2)]).asym_interior() == rel(3, [(1, 2)])
 
@@ -190,6 +201,12 @@ class TestPredicates:
         assert len(ring.find_asym_cycle()) == n + 1
         assert found > 30 and all(r.find_asym_cycle() for r in cases[-3:])
 
+    def test_cycle_search_peak_memory(self):
+        # one strict matrix for the Kahn pass; the walk computes its rows
+        n = 2000
+        ring = rel(n, [(i, (i + 1) % n) for i in range(n)])
+        assert peak_bytes(FiniteRelation.find_asym_cycle, ring) <= 1.25 * n * n
+
     def test_is_symmetric(self):
         assert rel(2, [(0, 1), (1, 0)]).is_symmetric()
         assert not rel(2, [(0, 1)]).is_symmetric()
@@ -215,6 +232,12 @@ class TestAltiset:
     def test_bad_subset(self):
         with pytest.raises(SubsetIndexError):
             rel(2, []).altiset({5})
+
+    @pytest.mark.parametrize("subset", [None, range(1, 2000)])
+    def test_peak_memory_is_a_block_of_rows(self, subset):
+        n = 2000
+        r = FiniteRelation.induce(Universe(n), list(range(n)), strict=False)
+        assert peak_bytes(r.altiset, subset) <= 0.5 * n * n
 
     def test_empty_universe(self):
         assert FiniteRelation.empty(Universe(0)).altiset() == frozenset()
