@@ -2,9 +2,9 @@
 
 A job imports only what its subcommand runs: each runner imports its
 kernel module when it is called, and `datasets` imports a format's types
-in that format's parser.  A relation file is streamed into its matrix by
-`datasets.parse_relation`, which hashes each slice as it reads it; the
-other inputs are read whole.  The input digest comes from CPython's
+in that format's parser.  A relation file is hashed in a pass of its own,
+then rewound and streamed into its matrix by `datasets.parse_relation`;
+the other inputs are read whole.  The input digest comes from CPython's
 builtin sha256 (`_sha2` or `_sha256`), so no job loads OpenSSL through
 hashlib.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import sys
 import time
@@ -54,11 +55,18 @@ def _read(path: str) -> tuple[str, str]:
 
 
 def _read_relation(path: str):
-    """The relation in a file plus the file's sha256 digest."""
+    """The relation in a file plus the file's sha256 digest, taken in 64 KiB
+    reads before the file is rewound and parsed."""
     sha = sha256()
     with open(path, "rb") as fh:
-        rel = datasets.parse_relation(fh, sha)
-    return rel, sha.hexdigest()
+        source = fh
+        if not fh.seekable():  # a pipe: read whole, and named in errors as the file
+            source = io.BytesIO(fh.read())
+            source.name = path
+        for raw in iter(lambda: source.read(1 << 16), b""):
+            sha.update(raw)
+        source.seek(0)
+        return datasets.parse_relation(source), sha.hexdigest()
 
 
 def _document(command: str, digest: str, settings: dict, result: dict, timestamp: bool) -> str:

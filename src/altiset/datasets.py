@@ -3,8 +3,8 @@
 Formats are strict: schema violations raise ParseError naming the field
 (and the line for CSV).
 
-A relation file is streamed in slices of 32 KiB, each hashed once.  The
-members other than "pairs" are decoded as they arrive, and the indices of
+A relation file is streamed in slices of 32 KiB.  The members other
+than "pairs" are decoded as they arrive, and the indices of
 "pairs", where every entry is a plain digit run, are scanned with no
 Python object per pair and set straight into the n x n matrix, which the
 relation then keeps.  So the parse holds that matrix and one slice, not
@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import math
-from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -115,15 +115,15 @@ def _scan_slice(raw: bytes, first: bool) -> tuple[np.ndarray, bool]:
 
 
 class _RelationStream:
-    """One pass over a relation file in slices of _SLICE bytes, each passed
-    to `update` once.  Members other than "pairs" are decoded by raw_decode
-    from the text read so far; "pairs" is scanned by _scan_slice, slice by
-    slice, straight into the (size, size) matrix.  Consumed bytes are
-    dropped.  Raises _Unrecognised, UnicodeDecodeError or MemoryError where
-    the json.loads route must decide, as for a matrix too large to index."""
+    """One pass over a relation file in slices of _SLICE bytes.  Members
+    other than "pairs" are decoded by raw_decode from the text read so far;
+    "pairs" is scanned by _scan_slice, slice by slice, straight into the
+    (size, size) matrix.  Consumed bytes are dropped.  Raises _Unrecognised,
+    UnicodeDecodeError or MemoryError where the json.loads route must
+    decide, as for a matrix too large to index."""
 
-    def __init__(self, fh: BinaryIO, update: Callable[[bytes], object]):
-        self.fh, self.update, self.hashed = fh, update, 0
+    def __init__(self, fh: BinaryIO):
+        self.fh = fh
         self.decoder = codecs.getincrementaldecoder("utf-8")()
         self.text, self.i = "", 0  # decoded text not yet consumed, and the cursor in it
         self.doc: dict = {}
@@ -157,15 +157,9 @@ class _RelationStream:
             self._matrix()
         return self.doc, self.adj
 
-    def _read(self, size: int = 0) -> bytes:
-        raw = self.fh.read(size or _SLICE)
-        self.update(raw)
-        self.hashed += len(raw)
-        return raw
-
     def _more(self, size: int = 0) -> bool:
         """Append the next slice's text to what is left; False at the end of the file."""
-        raw = self._read(size)
+        raw = self.fh.read(size or _SLICE)
         self.text = self.text[self.i :] + self.decoder.decode(raw, not raw)
         self.i = 0
         return bool(raw)
@@ -220,7 +214,7 @@ class _RelationStream:
             if stop >= 0:
                 raise _Unrecognised
             seen = len(data)
-            raw = self._read()
+            raw = self.fh.read(_SLICE)
             if not raw:
                 raise _Unrecognised
             data += raw
@@ -263,34 +257,29 @@ def _check_pairs(pairs: list, size: int) -> None:
             raise ParseError(f'"pairs"[{k}] = [{a}, {b}] out of range for size {size}')
 
 
-def parse_relation(source: Union[str, BinaryIO], sha=None) -> FiniteRelation:
-    """The relation in a JSON document, given as its text or as a binary file.
+def parse_relation(source: Union[str, BinaryIO]) -> FiniteRelation:
+    """The relation in a JSON document, given as its text or as a binary
+    file that can seek.
 
-    The document is streamed in slices of _SLICE bytes, and sha, where
-    given, is updated with each byte of the file once.  A file that cannot
-    seek, such as a pipe, is read whole first.  What the stream does not
-    recognise is read again whole and goes through json.loads, which gives
-    the same relation or error.
+    The document is streamed in slices of _SLICE bytes.  What the stream
+    does not recognise is read again whole and goes through json.loads,
+    which gives the same relation or error.
     """
     if isinstance(source, str):
         text, fh = source, io.BytesIO(source.encode("utf-8", "surrogatepass"))
     else:
-        text, fh = None, source if source.seekable() else io.BytesIO(source.read())
+        text, fh = None, source
     start = fh.tell()
-    stream = _RelationStream(fh, sha.update if sha is not None else lambda raw: None)
+    stream = _RelationStream(fh)
     try:
         doc, adj = stream.read()
     except (_Unrecognised, UnicodeDecodeError, MemoryError):
         doc = None
     if doc is None:  # outside the handler, so its traceback no longer holds the stream
-        hashed, stream = stream.hashed, None
+        stream = None
         if text is None:
             fh.seek(start)
-            raw = fh.read()
-            if sha is not None:
-                sha.update(memoryview(raw)[hashed:])
-            text = utf8_text(raw, getattr(source, "name", "input"))
-            del raw
+            text = utf8_text(fh.read(), getattr(source, "name", "input"))
         doc, adj = _load_json(text), None
     size = doc.get("size")
     if not _is_int(size) or size < 0:

@@ -9,11 +9,11 @@ The layering is computed in one level-wise Kahn pass (Kahn, CACM 1962)
 over the asymmetric interior rather than by peeling: an element's upper
 index is one more than the largest upper index among the elements that
 strictly dominate it.  That costs O(n^2) numpy work for any depth.  Each
-pass reads a strict matrix by rows, built in its own orientation and freed
-before the next, so a layering holds the relation plus one n x n work
-matrix.  The operator chains and their colorings are read off the two
-index vectors, and a cycle witness off the residue the upper pass leaves
-unplaced.
+pass is `relation._levels` over the relation's own matrix, which builds
+the strict matrix of its direction and frees it on return, so a layering
+holds the relation plus one n x n work matrix.  The operator chains and
+their colorings are read off the two index vectors, and a cycle witness
+off the residue the upper pass leaves unplaced.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CyclicRelationError, DimensionError, NotAStrictOrderError
-from .relation import FiniteRelation, _levels
+from .relation import FiniteRelation, _cycle, _levels
 
 UPPER = "v"  # remove the altiset of R
 LOWER = "l"  # remove the altiset of R^-1
@@ -43,18 +43,13 @@ class LayerDecomposition:
 
 
 def upper_layers(rel: FiniteRelation) -> LayerDecomposition:
-    """Both layer index maps and d(R); requires the AA-property.
-
-    The upper pass reads np.greater(adj.T, adj), whose row f lists the
-    elements f strictly dominates in R; the lower pass reads
-    np.greater(adj, adj.T), the same for R^-1.  Each matrix lives only
-    through its own pass.
-    """
+    """Both layer index maps and d(R); requires the AA-property, and
+    raises a cycle witness off the upper pass's residue otherwise."""
     adj = rel.adjacency
-    upper = _levels(np.greater(adj.T, adj))
+    upper = _levels(adj)
     if not upper.all():
-        raise CyclicRelationError(rel.find_asym_cycle())
-    lower = _levels(np.greater(adj, adj.T))
+        raise CyclicRelationError(_cycle(adj, upper == 0))
+    lower = _levels(adj, inverse=True)
     return LayerDecomposition(
         tuple(upper.tolist()), tuple(lower.tolist()), int(upper.max(initial=0))
     )
@@ -111,6 +106,5 @@ def longest_chain(strict: FiniteRelation) -> int:
     a = adj.astype(np.float32)
     if (a @ a > 0)[~adj].any():
         raise NotAStrictOrderError("relation is not transitive")
-    # a strict order is acyclic, and its level count, the same in either
-    # direction, is its longest chain
+    # a strict order is acyclic, and its level count is its longest chain
     return int(_levels(adj).max(initial=0))

@@ -142,8 +142,9 @@ class KeyedOrder:
         related; that keeps the order antisymmetric.
         """
         less = FiniteRelation.induce(universe, self.keys).adjacency
-        adj = less if self.direction == GAIN else less.T
-        return FiniteRelation(universe, adj | np.eye(universe.size, dtype=bool))
+        eye = np.eye(universe.size, dtype=bool)
+        adj = np.logical_or(less if self.direction == GAIN else less.T, eye, order="C")
+        return FiniteRelation.adopt(universe, adj)
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def quotient(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> Quo
     below = np.zeros((len(classes), len(classes)), dtype=bool)
     for col in ranks.T:  # one column at a time: no classes^2 x orders temporary
         below |= col[:, None] < col[None, :]
-    class_order = FiniteRelation(Universe(len(classes)), below & ~below.T)
+    class_order = FiniteRelation.adopt(Universe(len(classes)), below & ~below.T)
     return QuotientView(classes, class_order, frozenset(np.flatnonzero(maxima(ranks)).tolist()))
 
 

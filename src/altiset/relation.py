@@ -5,9 +5,9 @@ universe; row = first argument.  All operators are pure and return fresh
 relations; one that builds its own matrix keeps it through `adopt`.
 
 The strict part of R -- b strictly dominates a when (a, b) is in R and
-(b, a) is not -- is never held beside a transposed copy: the Kahn pass
-takes it in the orientation it reads by rows, the cycle walk computes one
-row at a time, and `altiset` tests `_BLOCK` rows at a time.
+(b, a) is not -- is built as a matrix only by `_levels`, in the
+orientation its pass reads by rows, and freed on return; `_cycle` computes
+one strict row at a time, and `altiset` tests `_BLOCK` rows at a time.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class FiniteRelation:
             a = adj.astype(np.float32)
             step = adj | (a @ a > 0)
             if np.array_equal(step, adj):
-                return FiniteRelation(self.universe, adj)
+                return FiniteRelation.adopt(self.universe, step)
             adj = step
 
     def complementary_inversion(self) -> "FiniteRelation":
@@ -171,29 +171,15 @@ class FiniteRelation:
         return bool(np.array_equal(self.adjacency, self.adjacency.T))
 
     def find_asym_cycle(self) -> Optional[list[int]]:
-        """A cycle of the digraph (A, asym R), or None if acyclic.
-
-        Walks the residue that the upper Kahn pass leaves unplaced: each
-        such element has an unplaced strict dominator, so stepping to one
-        repeats an element within n steps, and the repeat closes a cycle.
-        The pass's matrix is freed before the walk, which computes the
-        strict dominators of v on the fly.  The returned list has
-        first == last index.
-        """
+        """A cycle of the digraph (A, asym R), or None if acyclic; the
+        returned list has first == last index."""
         adj = self.adjacency
-        unplaced = _levels(np.greater(adj.T, adj)) == 0
-        if not unplaced.any():
-            return None
-        walk: dict[int, int] = {}  # element -> its step on the walk
-        v = int(unplaced.argmax())
-        while v not in walk:
-            walk[v] = len(walk)
-            v = int(((adj[v] > adj[:, v]) & unplaced).argmax())
-        return list(walk)[walk[v]:] + [v]
+        unplaced = _levels(adj) == 0
+        return _cycle(adj, unplaced) if unplaced.any() else None
 
     def has_aa_property(self) -> bool:
         """True iff the asymmetric interior is acyclic as a digraph."""
-        return self.find_asym_cycle() is None
+        return bool(_levels(self.adjacency).all())
 
     # -- significance ------------------------------------------------------
 
@@ -229,23 +215,23 @@ class FiniteRelation:
         if self.universe.labels is not None:
             labels = tuple(self.universe.labels[i] for i in idx)
         sub_universe = Universe(len(idx), labels)
-        adj = self.adjacency[np.ix_(ids, ids)] if idx else np.zeros((0, 0), bool)
-        return FiniteRelation(sub_universe, adj), idx
+        return FiniteRelation.adopt(sub_universe, self.adjacency[np.ix_(ids, ids)]), idx
 
 
 _BLOCK = 256  # rows summed at once in _levels, and tested at once in altiset
 
 
-def _levels(dominates: np.ndarray) -> np.ndarray:
-    """Kahn's pass by levels over a strict domination matrix, read by rows.
+def _levels(adj: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Kahn's pass by levels over the strict part of R, or of R^-1 if inverse.
 
-    dominates[f, a] means f strictly dominates a, so row f lists the
-    elements f dominates: for R's upper pass that is np.greater(adj.T, adj),
-    for the lower pass np.greater(adj, adj.T).  Level 1 holds the elements
-    with no dominator, level k + 1 those whose last dominator left at
-    level k.  Returns the 1-based level of each element; 0 marks the
-    residue that a cycle leaves unplaced.
+    adj is R's own matrix.  The pass builds the strict matrix it reads by
+    rows, row f listing the elements f strictly dominates -- for R
+    np.greater(adj.T, adj), for R^-1 np.greater(adj, adj.T) -- and frees it
+    on return.  Level 1 holds the elements with no dominator, level k + 1
+    those whose last dominator left at level k.  Returns the 1-based level
+    of each element; 0 marks the residue that a cycle leaves unplaced.
     """
+    dominates = np.greater(adj, adj.T) if inverse else np.greater(adj.T, adj)
     n = dominates.shape[0]
     # strict dominators not yet placed; -1 once the element is placed
     pending = dominates.sum(axis=0)
@@ -263,6 +249,22 @@ def _levels(dominates: np.ndarray) -> np.ndarray:
                 pending -= dominates[frontier[s : s + _BLOCK]].sum(axis=0)
         frontier = np.flatnonzero(pending == 0)
     return level
+
+
+def _cycle(adj: np.ndarray, unplaced: np.ndarray) -> list[int]:
+    """A cycle of asym R through the nonempty residue of R's upper pass.
+
+    Each unplaced element has an unplaced strict dominator, so stepping to
+    one repeats an element within n steps, and the repeat closes a cycle.
+    The strict dominators of v are computed from adj on the fly.  The
+    returned list has first == last index.
+    """
+    walk: dict[int, int] = {}  # element -> its step on the walk
+    v = int(unplaced.argmax())
+    while v not in walk:
+        walk[v] = len(walk)
+        v = int(((adj[v] > adj[:, v]) & unplaced).argmax())
+    return list(walk)[walk[v]:] + [v]
 
 
 def key_array(keys: Sequence) -> np.ndarray:

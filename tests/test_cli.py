@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from altiset import cli
+from altiset import cli, datasets
 from altiset.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _read, build_parser, main
 from conftest import peak_bytes
 from test_package import installed_tracer, load_perfbench
@@ -170,15 +172,20 @@ def test_input_digest_is_the_sha256_of_the_raw_bytes(raw, tmp_path):
 
 
 def test_relation_piped_through_stdin(capsys):
+    def piped(raw: bytes) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "altiset.cli", "--no-timestamp", "layers", "--relation", "/dev/stdin"],
+            input=raw, capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+
     path = FIXTURES / "chain3.json"
     assert main(["--no-timestamp", "layers", "--relation", str(path)]) == EXIT_OK
     from_file = capsys.readouterr().out
-    piped = subprocess.run(
-        [sys.executable, "-m", "altiset.cli", "--no-timestamp", "layers", "--relation", "/dev/stdin"],
-        input=path.read_bytes(), capture_output=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
-    )
-    assert piped.stdout.decode() == from_file
+    assert piped(path.read_bytes()).stdout.decode() == from_file
+    bad = piped(b'{"size": 1, "labels": ["caf\xe9"], "pairs": []}')  # read whole, still named
+    assert bad.returncode == EXIT_IO
+    assert bad.stderr.decode().startswith("altiset: parse error: /dev/stdin is not UTF-8 text: ")
 
 
 def many_slices_relation(n: int = 300) -> tuple[str, list]:
@@ -213,6 +220,109 @@ def test_out_of_range_pair_in_a_later_slice_is_named(tmp_path, capsys):
     assert main(["--no-timestamp", "altiset", "--relation", str(path)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err == f'altiset: parse error: "pairs"[{bad}] = [250, 300] out of range for size 300\n'
+
+
+@pytest.mark.parametrize("route", ["stream", "json.loads"])
+def test_relation_digest_is_the_sha256_of_the_raw_bytes(route, tmp_path, capsys, monkeypatch):
+    text, _ = many_slices_relation()
+    if route == "json.loads":  # a repeated "pairs" key, seen after many slices
+        text = text[:-1] + ', "pairs": [[0, 1]]}'
+    raw = text.encode()
+    path = tmp_path / "relation.json"
+    path.write_bytes(raw)
+    loads = mock.Mock(wraps=json.loads)
+    monkeypatch.setattr(datasets.json, "loads", loads)
+    assert main(["--no-timestamp", "layers", "--relation", str(path)]) == EXIT_OK
+    assert loads.called == (route == "json.loads")
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert meta["input_sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def checks():
+    """perfbench/checks.py, which imports workloads by that name."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "workloads", load_perfbench("workloads"))
+        return load_perfbench("checks")
+
+
+@st.composite
+def relation_documents(draw):
+    """A small relation document: random, reflexive and duplicate pairs, at
+    times a cycle through 3 or more elements, at times labels, and its
+    members in any order, so "size" may come after "pairs"."""
+    n = draw(st.integers(0, 6))
+    pairs = []
+    if n:
+        index = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.lists(index, min_size=2, max_size=2), max_size=12))
+        pairs += [[a, a] for a in draw(st.lists(index, max_size=2))]
+        if n >= 3 and draw(st.booleans()):
+            ring = draw(st.permutations(range(n)))[: draw(st.integers(3, n))]
+            pairs += [[a, b] for a, b in zip(ring, ring[1:] + ring[:1])]
+        if pairs:
+            pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+        pairs = draw(st.permutations(pairs))
+    members = [("size", n), ("pairs", pairs)]
+    if draw(st.booleans()):
+        members.append(("labels", [f"\u00e9{i}" for i in range(n)]))
+    return dict(draw(st.permutations(members)))
+
+
+def run_main(argv: list) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--no-timestamp"] + argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=relation_documents(), data=st.data())
+def test_relation_subcommands_match_the_reference(doc, data, checks, tmp_path):
+    # judged by perfbench/checks.py, which reads the pairs without the package
+    n, pairs = doc["size"], doc["pairs"]
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(doc))
+    relation = ["--relation", str(path)]
+
+    subset = data.draw(st.none() | st.lists(st.integers(0, n - 1), max_size=n + 2) if n else st.none())
+    spec = [] if subset is None else ["--subset", ",".join(map(str, subset))]
+    code, out, err = run_main(["altiset"] + relation + spec)
+    assert (code, err) == (EXIT_OK, "")
+    result = json.loads(out)["result"]
+    members = range(n) if subset is None else sorted(set(subset))
+    assert result["altiset"] == checks.altiset_of_subset(pairs, members)
+    labels = doc.get("labels")
+    assert result.get("labels", []) == ([labels[i] for i in result["altiset"]] if labels else [])
+
+    code, out, err = run_main(["layers"] + relation)
+    expected = checks.layer_indices(n, pairs)
+    if expected is None:  # a cycle of the strict part is the witness
+        prefix = "altiset: error: asymmetric interior contains a cycle: "
+        assert (code, out) == (EXIT_DOMAIN, "") and err.startswith(prefix)
+        cycle = [int(v) for v in err[len(prefix):].split(" -> ")]
+        strict = {(a, b) for a, b in pairs if [b, a] not in pairs}
+        assert len(cycle) >= 4 and cycle[0] == cycle[-1]
+        assert all(step in strict for step in zip(cycle, cycle[1:]))
+    else:
+        assert (code, err) == (EXIT_OK, "")
+        result = json.loads(out)["result"]
+        assert (result["upper_index"], result["lower_index"]) == expected
+        assert result["d"] == max(expected[0], default=0)
+
+    code, out, err = run_main(["altiset"] + relation + [f"--subset={n}"])
+    assert (code, out) == (EXIT_DOMAIN, "")  # a subset index out of range is a domain error
+    assert err == f"altiset: error: subset [{n}] out of range for size {n}\n"
+
+    if pairs:  # a pair index out of range is a parse error
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        bad = [list(p) for p in pairs]
+        bad[k][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from([n, n + 3, -1]))
+        path.write_text(json.dumps({**doc, "pairs": bad}))
+        message = f'"pairs"[{k}] = [{bad[k][0]}, {bad[k][1]}] out of range for size {n}'
+        for command in ("altiset", "layers"):
+            assert run_main([command] + relation) == (EXIT_IO, "", f"altiset: parse error: {message}\n")
 
 
 @pytest.mark.parametrize("text,ref,message", [
@@ -328,7 +438,7 @@ class TestExitCodes:
 
     def test_out_of_memory_is_two(self, capsys, monkeypatch):
         # stands in for the level sweep of a relation too large to layer
-        def no_memory(strict):
+        def no_memory(*args):
             raise MemoryError
 
         monkeypatch.setattr("altiset.layers._levels", no_memory)

@@ -89,6 +89,22 @@ class TestUpperLayers:
             assert len(cycle) >= 4 and cycle[0] == cycle[-1]
             assert all((a, b) in strict for a, b in zip(cycle, cycle[1:]))
 
+    def test_cycle_runs_one_upper_pass(self, monkeypatch):
+        # patched where each module looks it up: the witness comes off the
+        # upper pass's own residue, with no second pass
+        calls, levels = [], relation._levels
+
+        def counted(adj, inverse=False):
+            calls.append(inverse)
+            return levels(adj, inverse)
+
+        monkeypatch.setattr(relation, "_levels", counted)
+        monkeypatch.setattr("altiset.layers._levels", counted)
+        with pytest.raises(CyclicRelationError) as err:
+            upper_layers(CYCLE3)
+        assert calls == [False]
+        assert err.value.cycle == [0, 1, 2, 0]
+
     def test_empty_universe(self):
         d = upper_layers(FiniteRelation.empty(Universe(0)))
         assert d.class_count == 0

@@ -205,7 +205,7 @@ class TestParetoLayers:
         # dominates[a, b]: row b is >= row a in both columns and > in one
         dominates = (keys[None, :] >= keys[:, None]).all(axis=2) & (keys[None, :] > keys[:, None]).any(axis=2)
         layers = pareto_layers(keys)
-        assert layers.tolist() == _levels(dominates.T).tolist()  # row b: what b dominates
+        assert layers.tolist() == _levels(dominates).tolist()  # a relation whose strict part it is
         assert (layers == 1).tolist() == maxima(keys).tolist()
 
     def test_equal_rows_share_a_layer(self):

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from altiset.errors import DimensionError, SubsetIndexError
+from altiset.errors import CyclicRelationError, DimensionError, SubsetIndexError
+from altiset.layers import upper_layers
 from altiset.oracles import altiset_bruteforce
 from altiset.relation import FiniteRelation, Universe, union
 
@@ -106,7 +107,8 @@ class TestAdjustments:
         FiniteRelation.asym_interior,
         FiniteRelation.complementary_inversion,
         lambda r: union([r, r]),
-    ], ids=["asym_interior", "complementary_inversion", "union"])
+        lambda r: r.restrict(range(r.universe.size))[0],
+    ], ids=["asym_interior", "complementary_inversion", "union", "restrict"])
     def test_fresh_matrix_is_kept_not_copied(self, op):
         n = 2000
         r = FiniteRelation.induce(Universe(n), list(range(n)), strict=False)
@@ -191,9 +193,13 @@ class TestPredicates:
         found = 0
         for r in [ring] + cases:
             cycle = r.find_asym_cycle()
+            assert r.has_aa_property() == (cycle is None)
             if cycle is None:
                 continue
             found += 1
+            with pytest.raises(CyclicRelationError) as err:  # the same witness
+                upper_layers(r)
+            assert err.value.cycle == cycle
             q = r.asym_interior()
             assert cycle[0] == cycle[-1] and len(cycle) >= 3
             for a, b in zip(cycle, cycle[1:]):
