@@ -9,7 +9,7 @@ builtin sha256 (`_sha2` or `_sha256`), so no job loads OpenSSL through
 hashlib.
 
 Exit codes: 0 success, 1 domain error (cyclic relation, duplicate points,
-degenerate input), 2 I/O or parse error, 64 usage error.
+degenerate input), 2 I/O or parse error (any bad --subset), 64 usage error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__, datasets
-from .errors import AltisetError, ParseError
+from .errors import AltisetError, ParseError, SubsetIndexError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -141,7 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_altiset(args, rel):
     subset = _parse_subset(args.subset)
-    result = {"altiset": sorted(rel.altiset(subset)), "size": rel.universe.size}
+    try:
+        altiset = rel.altiset(subset)
+    except SubsetIndexError as exc:  # a bad --subset, as is a malformed one
+        raise ParseError(str(exc)) from exc
+    result = {"altiset": sorted(altiset), "size": rel.universe.size}
     if rel.universe.labels:
         result["labels"] = [rel.universe.labels[i] for i in result["altiset"]]
     settings = {"subset": subset}

@@ -3,13 +3,13 @@
 Formats are strict: schema violations raise ParseError naming the field
 (and the line for CSV).
 
-A relation file is streamed in slices of 32 KiB.  The members other
-than "pairs" are decoded as they arrive, and the indices of
-"pairs", where every entry is a plain digit run, are scanned with no
+A relation file is streamed as bytes, in slices of 32 KiB.  The members
+other than "pairs" are decoded from the bytes at the cursor, and the indices
+of "pairs", where every entry is a plain digit run, are scanned with no
 Python object per pair and set straight into the n x n matrix, which the
-relation then keeps.  So the parse holds that matrix and one slice, not
-the file.  Whatever the stream does not recognise is read again whole and
-goes through json.loads, which gives the same answer and errors.
+relation then keeps.  So the parse holds that matrix and one slice, not the
+file.  Whatever the stream does not recognise is read again whole and goes
+through json.loads, which gives the same answer and errors.
 
 Each parser imports the kernel types of its own format when called, so
 reading a relation loads neither skylines nor collectives.
@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import re
 from typing import TYPE_CHECKING, BinaryIO, Optional, Sequence, Union
 
 import numpy as np
@@ -70,7 +71,7 @@ def _finite_float(v, name: str) -> float:
 
 _CLASSES = bytes.maketrans(b"0123456789\t\n\r", b"0000000000   ")
 _DECODER = json.JSONDecoder()
-_skip_ws = json.decoder.WHITESPACE.match
+_skip_blanks = re.compile(rb"[ \t\n\r]*").match  # JSON whitespace
 _SLICE = 1 << 15  # bytes per read of a relation file
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _MAX_CELLS = np.iinfo(np.intp).max  # numpy raises ValueError, not MemoryError, beyond it
@@ -115,77 +116,79 @@ def _scan_slice(raw: bytes, first: bool) -> tuple[np.ndarray, bool]:
 
 
 class _RelationStream:
-    """One pass over a relation file in slices of _SLICE bytes.  Members
-    other than "pairs" are decoded by raw_decode from the text read so far;
-    "pairs" is scanned by _scan_slice, slice by slice, straight into the
-    (size, size) matrix.  Consumed bytes are dropped.  Raises _Unrecognised,
-    UnicodeDecodeError or MemoryError where the json.loads route must
-    decide, as for a matrix too large to index."""
+    """One pass over a relation file, held as one byte buffer and a cursor
+    and read in slices of _SLICE bytes.  Members other than "pairs" are
+    decoded by raw_decode where they lie; "pairs" is scanned by _scan_slice,
+    slice by slice, straight into the (size, size) matrix.  Consumed bytes
+    are dropped.  Raises _Unrecognised, UnicodeDecodeError or MemoryError
+    where the json.loads route must decide, as for a matrix too large to index."""
 
     def __init__(self, fh: BinaryIO):
         self.fh = fh
-        self.decoder = codecs.getincrementaldecoder("utf-8")()
-        self.text, self.i = "", 0  # decoded text not yet consumed, and the cursor in it
-        self.doc: dict = {}
-        self.paired = False  # "pairs" is read
+        self.buf, self.i = b"", 0  # bytes not yet consumed, and the cursor in them
+        self.doc: dict = {}  # a "pairs" that is read holds None until read() pops it
         self.adj: Optional[np.ndarray] = None
         self.held: list[np.ndarray] = []  # index slices read before "size"
 
     def read(self) -> tuple[dict, np.ndarray]:
         """The members other than "pairs", and the matrix of the pairs."""
-        if self._next() != "{":
+        if self._next() != b"{":
             raise _Unrecognised
-        sep = ","
-        while sep == ",":
+        sep = b","
+        while sep == b",":
             self.i += 1
-            if self._next() != '"':
+            if self._next() != b'"':
                 raise _Unrecognised
-            key = self._value(":")
+            key = self._value(b":")
             self.i += 1
             self._next()
-            if key in self.doc or key == "pairs" and self.paired:  # a repeated key
+            if key in self.doc:  # a repeated key
                 raise _Unrecognised
             if key == "pairs":
                 self._pairs()
             else:
-                self.doc[key] = self._value(",}")
+                self.doc[key] = self._value(b",}")
             sep = self._next()
         self.i += 1
-        if sep != "}" or self._next():  # trailing data
+        if sep != b"}" or self._next():  # trailing data
             raise _Unrecognised
+        self.doc.pop("pairs", None)
         if self.adj is None:
             self._matrix()
         return self.doc, self.adj
 
     def _more(self, size: int = 0) -> bool:
-        """Append the next slice's text to what is left; False at the end of the file."""
-        raw = self.fh.read(size or _SLICE)
-        self.text = self.text[self.i :] + self.decoder.decode(raw, not raw)
+        """Append at least a slice of the file to what is left; False at its end."""
+        raw = self.fh.read(max(size, _SLICE))
+        self.buf = self.buf[self.i :] + raw
         self.i = 0
         return bool(raw)
 
-    def _next(self) -> str:
-        """The next non-blank character, '' at the end of the file; the cursor moves to it."""
+    def _next(self) -> bytes:
+        """The next non-blank byte, b"" at the end of the file; the cursor moves to it."""
         while True:
-            self.i = _skip_ws(self.text, self.i).end()
-            if self.i < len(self.text) or not self._more():
-                return self.text[self.i : self.i + 1]
+            self.i = _skip_blanks(self.buf, self.i).end()
+            if self.i < len(self.buf) or not self._more():
+                return self.buf[self.i : self.i + 1]
 
-    def _value(self, follow: str):
-        """The JSON value at the cursor, taken once a character of follow is
-        seen after it: a number cut by the slice end reads as a shorter one.
-        Reads in doubling steps, so a long value costs O(its length)."""
-        size = _SLICE
+    def _value(self, follow: bytes):
+        """The JSON value at the cursor, taken once a byte of follow is seen
+        after it: a value cut by the window end reads as a shorter one or
+        fails.  The window doubles from 64 bytes, so a value costs O(its
+        length); it is decoded strictly, so its text encodes back to its bytes."""
+        size = 64
         while True:
+            text = codecs.utf_8_decode(self.buf[self.i : self.i + size], "strict", False)[0]
             try:
-                value, end = _DECODER.raw_decode(self.text, self.i)
-                end = _skip_ws(self.text, end).end()
-                if end < len(self.text) and self.text[end] in follow:
+                value, end = _DECODER.raw_decode(text)
+                end = end if text.isascii() else len(text[:end].encode())  # in bytes
+                end = _skip_blanks(self.buf, self.i + end).end()
+                if end < len(self.buf) and self.buf[end] in follow:
                     self.i = end
                     return value
-            except ValueError:  # invalid, or cut by the slice end
+            except ValueError:  # invalid, or cut by the window end
                 pass
-            if not self._more(size):
+            if self.i + size >= len(self.buf) and not self._more(size):
                 raise _Unrecognised
             size *= 2
 
@@ -193,32 +196,24 @@ class _RelationStream:
         """Scan "pairs" in slices that each end just after a ']', so no digit
         run crosses a boundary.  "pairs" holds no string, so its last ']'
         comes before the next '"'."""
-        if self.text[self.i : self.i + 1] != "[":
+        if self.buf[self.i : self.i + 1] != b"[":
             raise _Unrecognised
-        self.paired = True
+        self.doc["pairs"] = None
         if "size" in self.doc:
             self._matrix()
-        # back to bytes, with what the decoder holds of a character the slice end cut
-        data = self.text[self.i :].encode() + self.decoder.getstate()[0]
-        self.decoder.reset()
-        first, seen = True, 0  # data[:seen] holds no ']' and no '"'
+        first, seen = True, self.i  # buf[self.i:seen] holds no ']' and no '"'
         while True:
-            stop = data.find(b'"', seen)
-            cut = data.rfind(b"]", seen, len(data) if stop < 0 else stop) + 1
+            stop = self.buf.find(b'"', seen)
+            cut = self.buf.rfind(b"]", seen, len(self.buf) if stop < 0 else stop) + 1
             if cut:
-                values, last = _scan_slice(data[:cut], first)
+                values, last = _scan_slice(self.buf[self.i : cut], first)
                 self._write(values)
-                data, first = data[cut:], False
+                self.i, first = cut, False
                 if last:
-                    break
-            if stop >= 0:
+                    return
+            seen = len(self.buf) - self.i
+            if stop >= 0 or not self._more():
                 raise _Unrecognised
-            seen = len(data)
-            raw = self.fh.read(_SLICE)
-            if not raw:
-                raise _Unrecognised
-            data += raw
-        self.text, self.i = self.decoder.decode(data), 0
 
     def _matrix(self) -> None:
         size = self.doc.get("size")

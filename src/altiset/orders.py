@@ -50,6 +50,17 @@ def _descending(keys: np.ndarray) -> np.ndarray:
     return np.lexsort(keys.T[::-1])[::-1]
 
 
+def _dominated_by(rows: np.ndarray, rivals: np.ndarray) -> np.ndarray:
+    """[a, b] is set when rivals[b] dominates rows[a], >= in every column
+    and > in one; built a column at a time, with no 3-D temporary."""
+    geq = np.ones((len(rows), len(rivals)), dtype=bool)
+    same = geq.copy()
+    for mine, theirs in zip(rows.T, rivals.T):
+        geq &= theirs >= mine[:, None]
+        same &= theirs == mine[:, None]
+    return geq & ~same
+
+
 def maxima(keys) -> np.ndarray:
     """Boolean mask of the rows of an (n, k) array that no other row dominates.
 
@@ -80,14 +91,7 @@ def maxima(keys) -> np.ndarray:
         kept = np.empty(0, dtype=np.intp)  # positions in ranked of the maxima so far
         for start in range(0, n, _BLOCK):
             block = ranked[start : start + _BLOCK]
-            rivals = np.concatenate([ranked[kept], block])
-            geq = np.ones((len(block), len(rivals)), dtype=bool)
-            same = geq.copy()
-            for c in range(k):
-                theirs, mine = rivals[None, :, c], block[:, c, None]
-                geq &= theirs >= mine
-                same &= theirs == mine
-            dominated = (geq & ~same).any(axis=1)
+            dominated = _dominated_by(block, np.concatenate([ranked[kept], block])).any(axis=1)
             kept = np.concatenate([kept, start + np.flatnonzero(~dominated)])
     mask = np.zeros(n, dtype=bool)
     mask[order[kept]] = True
@@ -189,19 +193,17 @@ def indistinguishability(system: OrderSystem) -> tuple[tuple[int, ...], ...]:
 def quotient(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> QuotientView:
     """Indistinguishability classes + strict characteristic order + maxima,
     over the subset (default: the whole universe).  Read off the key ranks
-    of each class's first member: class i lies below class j, as in the
-    union of the orders' relations, when j ranks higher in some column."""
+    of each class's first member: class i lies below class j when j's
+    ranks dominate i's, >= in every column and > in one."""
     classes = indistinguishability(system)
     if subset is not None:
         keep = set(system.universe.check_subset(subset))
         kept = (tuple(a for a in c if a in keep) for c in classes)
         classes = tuple(sorted((c for c in kept if c), key=lambda c: c[0]))
     ranks = _ranks(system)[[c[0] for c in classes]]
-    below = np.zeros((len(classes), len(classes)), dtype=bool)
-    for col in ranks.T:  # one column at a time: no classes^2 x orders temporary
-        below |= col[:, None] < col[None, :]
-    class_order = FiniteRelation.adopt(Universe(len(classes)), below & ~below.T)
-    return QuotientView(classes, class_order, frozenset(np.flatnonzero(maxima(ranks)).tolist()))
+    below = _dominated_by(ranks, ranks)
+    maximal = frozenset(np.flatnonzero(~below.any(axis=1)).tolist())
+    return QuotientView(classes, FiniteRelation.adopt(Universe(len(classes)), below), maximal)
 
 
 def _ranks(system: OrderSystem) -> np.ndarray:

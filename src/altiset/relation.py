@@ -113,16 +113,13 @@ class FiniteRelation:
         return cls.adopt(universe, np.ones((n, n), dtype=bool))
 
     @classmethod
-    def induce(cls, universe: Universe, keys: Sequence, strict: bool = True) -> "FiniteRelation":
-        """Pull a (strict) linear order back along a key function; the keys
+    def induce(cls, universe: Universe, keys: Sequence) -> "FiniteRelation":
+        """Pull the strict linear order back along a key function; the keys
         compare as `key_array` holds them."""
         if len(keys) != universe.size:
-            raise DimensionError(
-                f"{len(keys)} keys for universe of size {universe.size}"
-            )
+            raise DimensionError(f"{len(keys)} keys for universe of size {universe.size}")
         k = key_array(keys)
-        adj = k[:, None] < k[None, :] if strict else k[:, None] <= k[None, :]
-        return cls.adopt(universe, adj)
+        return cls.adopt(universe, k[:, None] < k[None, :])
 
     # -- basic queries ----------------------------------------------------
 

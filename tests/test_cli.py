@@ -277,6 +277,17 @@ def run_main(argv: list) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("spec,message", [
+    (["--subset", "0,5"], "subset [0, 5] out of range for size 3"),
+    (["--subset=-1"], "subset [-1] out of range for size 3"),
+    (["--subset", "x"], "bad subset spec 'x': invalid literal for int() with base 10: 'x'"),
+])
+def test_bad_subset_is_a_parse_error(spec, message):
+    # out of range or malformed, a bad --subset value gets the one exit code
+    code, out, err = run_main(["altiset", "--relation", str(FIXTURES / "chain3.json")] + spec)
+    assert (code, out, err) == (EXIT_IO, "", f"altiset: parse error: {message}\n")
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=relation_documents(), data=st.data())
 def test_relation_subcommands_match_the_reference(doc, data, checks, tmp_path):
@@ -312,8 +323,8 @@ def test_relation_subcommands_match_the_reference(doc, data, checks, tmp_path):
         assert result["d"] == max(expected[0], default=0)
 
     code, out, err = run_main(["altiset"] + relation + [f"--subset={n}"])
-    assert (code, out) == (EXIT_DOMAIN, "")  # a subset index out of range is a domain error
-    assert err == f"altiset: error: subset [{n}] out of range for size {n}\n"
+    assert (code, out) == (EXIT_IO, "")  # a subset index out of range is a parse error
+    assert err == f"altiset: parse error: subset [{n}] out of range for size {n}\n"
 
     if pairs:  # a pair index out of range is a parse error
         k = data.draw(st.integers(0, len(pairs) - 1))

@@ -322,6 +322,31 @@ class TestRelationStream:
         assert set(rel.pairs()) == {(2, 0), (0, 1)}
 
     @pytest.mark.parametrize("size", SLICES)
+    @pytest.mark.parametrize("before", [True, False], ids=["before-pairs", "after-pairs"])
+    def test_labels_longer_than_a_slice_take_the_stream(self, size, before, monkeypatch):
+        n = 3000  # 4-byte and 2-byte characters, so window and slice ends cut them
+        labels = [f"\U0001f5fb{k}\u00e9" for k in range(n)]
+        members = {"size": n, "pairs": [[0, 1], [n - 1, 0]]}
+        doc = {"labels": labels, **members} if before else {**members, "labels": labels}
+        text = json.dumps(doc, ensure_ascii=False)
+        assert len(json.dumps(labels, ensure_ascii=False).encode()) > datasets._SLICE
+        expected = parse_outcome(text, stream=False)
+        monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
+        with slices(size):
+            rel = datasets.parse_relation(text)
+        assert rel == expected and rel.universe.labels == tuple(labels)
+
+    @pytest.mark.parametrize("size", SLICES)
+    def test_many_members_take_the_stream(self, size, monkeypatch):
+        kinds = [lambda k: k, str, lambda k: [k, None], lambda k: {"x": k / 4}, lambda k: k % 2 == 0]
+        doc = {f"m{k}": kinds[k % len(kinds)](k) for k in range(20000)}
+        text = json.dumps({"size": 2, **doc, "pairs": [[0, 1]]})
+        monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
+        with slices(size):
+            members, adj = stream_read(text)
+        assert members == {"size": 2, **doc} and pairs_of(adj) == {(0, 1)}
+
+    @pytest.mark.parametrize("size", SLICES)
     def test_huge_size_is_a_parse_error(self, size):
         with slices(size):
             outcome = parse_outcome('{"size": 1000000000, "pairs": []}')

@@ -28,10 +28,6 @@ class TestInduce:
         r = FiniteRelation.induce(Universe(3), [2, 1, 2])
         assert set(r.pairs()) == {(1, 0), (1, 2)}
 
-    def test_nonstrict_includes_ties_and_diagonal(self):
-        r = FiniteRelation.induce(Universe(2), [1, 1], strict=False)
-        assert set(r.pairs()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             FiniteRelation.induce(Universe(3), [1, 2])
@@ -43,15 +39,9 @@ class TestInduce:
             keys = [rng.choice(pool) for _ in range(n)]
             if rng.random() < 0.5:
                 keys = [int(k) for k in keys]
-            for strict in (True, False):
-                r = FiniteRelation.induce(Universe(n), keys, strict=strict)
-                expected = {
-                    (a, b)
-                    for a in range(n)
-                    for b in range(n)
-                    if (keys[a] < keys[b] if strict else keys[a] <= keys[b])
-                }
-                assert set(r.pairs()) == expected
+            r = FiniteRelation.induce(Universe(n), keys)
+            expected = {(a, b) for a in range(n) for b in range(n) if keys[a] < keys[b]}
+            assert set(r.pairs()) == expected
 
     def test_non_numeric_keys_compare_as_python_objects(self):
         r = FiniteRelation.induce(Universe(3), [(1, 2), (1, 1), (0, 5)])
@@ -111,7 +101,7 @@ class TestAdjustments:
     ], ids=["asym_interior", "complementary_inversion", "union", "restrict"])
     def test_fresh_matrix_is_kept_not_copied(self, op):
         n = 2000
-        r = FiniteRelation.induce(Universe(n), list(range(n)), strict=False)
+        r = FiniteRelation.adopt(Universe(n), np.triu(np.ones((n, n), dtype=bool)))
         assert peak_bytes(op, r) <= 1.1 * n * n
         assert op(r).adjacency.flags.c_contiguous
 
@@ -242,7 +232,7 @@ class TestAltiset:
     @pytest.mark.parametrize("subset", [None, range(1, 2000)])
     def test_peak_memory_is_a_block_of_rows(self, subset):
         n = 2000
-        r = FiniteRelation.induce(Universe(n), list(range(n)), strict=False)
+        r = FiniteRelation.adopt(Universe(n), np.triu(np.ones((n, n), dtype=bool)))
         assert peak_bytes(r.altiset, subset) <= 0.5 * n * n
 
     def test_empty_universe(self):
