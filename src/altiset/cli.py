@@ -6,10 +6,7 @@ in that format's parser.  A relation file is hashed in a pass of its own,
 then rewound and streamed into its matrix by `datasets.parse_relation`;
 the other inputs are read whole.  The input digest comes from CPython's
 builtin sha256 (`_sha2` or `_sha256`), so no job loads OpenSSL through
-hashlib.
-
-Exit codes: 0 success, 1 domain error (cyclic relation, duplicate points,
-degenerate input), 2 I/O or parse error (any bad --subset), 64 usage error.
+hashlib.  `altiset --help` prints HELP and EXIT_CODES, not these notes.
 """
 
 from __future__ import annotations
@@ -38,6 +35,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 EXIT_USAGE = 64
+HELP = "Run one analysis of a dataset and write its result as JSON."
+EXIT_CODES = """exit codes: 0 success, 1 domain error (a cyclic relation, degenerate input),
+2 I/O or parse error (bad input, duplicate points or a bad --subset), 64 usage error"""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +102,7 @@ def _parse_ref(spec: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="altiset", description=__doc__)
+    parser = _Parser(prog="altiset", description=HELP, epilog=EXIT_CODES)
     parser.add_argument("--no-timestamp", action="store_true", help="omit meta.timestamp")
     parser.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -76,8 +76,8 @@ def threshold_profile(member: Iterable, ground: ValuedGroundSet) -> tuple[int, .
 
 def _profiles(family: SubsetFamily) -> np.ndarray:
     """(members, thresholds) matrix of threshold profiles.  The counts
-    compare the valuations themselves: as floats, 2**53 + 1 and 2**53 tie.
-    An empty ground set gives (members, 0) profiles: everything ties."""
+    compare the valuations exactly, as Python does: 2**53 + 1 is above 2**53
+    and float(2**53).  An empty ground set gives (members, 0) profiles: everything ties."""
     return np.array([threshold_profile(m, family.ground) for m in family.members], dtype=np.int64)
 
 

@@ -3,12 +3,12 @@
 Formats are strict: schema violations raise ParseError naming the field
 (and the line for CSV).
 
-A relation file is streamed as bytes, in slices of 32 KiB.  The members
-other than "pairs" are decoded from the bytes at the cursor, and the indices
-of "pairs", where every entry is a plain digit run, are scanned with no
-Python object per pair and set straight into the n x n matrix, which the
-relation then keeps.  So the parse holds that matrix and one slice, not the
-file.  Whatever the stream does not recognise is read again whole and goes
+A relation file is streamed as bytes, in slices of 32 KiB: one pass decodes
+the members other than "pairs" at the cursor and finds where "pairs" starts
+and ends, and a second scans its indices, each a plain digit run, with no
+Python object per pair, straight into the n x n matrix the relation keeps.
+So the parse holds that matrix and one slice, not the file, in any member
+order.  Whatever the stream does not recognise is read again whole and goes
 through json.loads, which gives the same answer and errors.
 
 Each parser imports the kernel types of its own format when called, so
@@ -116,19 +116,17 @@ def _scan_slice(raw: bytes, first: bool) -> tuple[np.ndarray, bool]:
 
 
 class _RelationStream:
-    """One pass over a relation file, held as one byte buffer and a cursor
-    and read in slices of _SLICE bytes.  Members other than "pairs" are
-    decoded by raw_decode where they lie; "pairs" is scanned by _scan_slice,
-    slice by slice, straight into the (size, size) matrix.  Consumed bytes
-    are dropped.  Raises _Unrecognised, UnicodeDecodeError or MemoryError
-    where the json.loads route must decide, as for a matrix too large to index."""
+    """Two passes over a relation file, held as one byte buffer and a cursor
+    and read in slices of _SLICE bytes.  The first decodes the other members
+    by raw_decode where they lie and finds where "pairs" starts and ends; the
+    second scans "pairs" by _scan_slice into the (size, size) matrix, slice by
+    slice.  Consumed bytes are dropped.  Raises _Unrecognised, UnicodeDecodeError
+    or MemoryError where json.loads must decide, as for a matrix too large to index."""
 
     def __init__(self, fh: BinaryIO):
         self.fh = fh
         self.buf, self.i = b"", 0  # bytes not yet consumed, and the cursor in them
-        self.doc: dict = {}  # a "pairs" that is read holds None until read() pops it
-        self.adj: Optional[np.ndarray] = None
-        self.held: list[np.ndarray] = []  # index slices read before "size"
+        self.doc: dict = {}  # "pairs" holds its (start, end) file offsets until read() pops it
 
     def read(self) -> tuple[dict, np.ndarray]:
         """The members other than "pairs", and the matrix of the pairs."""
@@ -144,18 +142,19 @@ class _RelationStream:
             self._next()
             if key in self.doc:  # a repeated key
                 raise _Unrecognised
-            if key == "pairs":
-                self._pairs()
+            if key == "pairs":  # where it starts and ends; the second pass reads it
+                self.doc[key] = self._at(), self._skip()
             else:
                 self.doc[key] = self._value(b",}")
             sep = self._next()
         self.i += 1
         if sep != b"}" or self._next():  # trailing data
             raise _Unrecognised
-        self.doc.pop("pairs", None)
-        if self.adj is None:
-            self._matrix()
-        return self.doc, self.adj
+        return self.doc, self._matrix(self.doc.pop("pairs", None))
+
+    def _at(self) -> int:
+        """The file offset of the cursor."""
+        return self.fh.tell() - len(self.buf) + self.i
 
     def _more(self, size: int = 0) -> bool:
         """Append at least a slice of the file to what is left; False at its end."""
@@ -192,46 +191,50 @@ class _RelationStream:
                 raise _Unrecognised
             size *= 2
 
-    def _pairs(self) -> None:
-        """Scan "pairs" in slices that each end just after a ']', so no digit
-        run crosses a boundary.  "pairs" holds no string, so its last ']'
-        comes before the next '"'."""
-        if self.buf[self.i : self.i + 1] != b"[":
-            raise _Unrecognised
-        self.doc["pairs"] = None
-        if "size" in self.doc:
-            self._matrix()
-        first, seen = True, self.i  # buf[self.i:seen] holds no ']' and no '"'
+    def _slices(self):
+        """The slices of "pairs" from the cursor, each just after a ']' so no
+        digit run crosses a boundary; the cursor moves past each.  "pairs"
+        holds no string, so its last ']' comes before the next '"'."""
+        seen = self.i  # buf[self.i:seen] holds no ']' and no '"'
         while True:
             stop = self.buf.find(b'"', seen)
             cut = self.buf.rfind(b"]", seen, len(self.buf) if stop < 0 else stop) + 1
             if cut:
-                values, last = _scan_slice(self.buf[self.i : cut], first)
-                self._write(values)
-                self.i, first = cut, False
-                if last:
-                    return
+                raw, self.i = self.buf[self.i : cut], cut
+                yield raw
             seen = len(self.buf) - self.i
             if stop >= 0 or not self._more():
-                raise _Unrecognised
+                return
 
-    def _matrix(self) -> None:
+    def _skip(self) -> int:
+        """The file offset just after the last ']' of "pairs", where the cursor
+        moves: the buffer keeps only what follows the last ']' seen.  With no
+        ']', "pairs" ends where it starts, and no slice can close there."""
+        for _ in self._slices():
+            pass
+        return self._at()
+
+    def _matrix(self, span: Optional[tuple[int, int]]) -> np.ndarray:
+        """The matrix of the pairs in span, scanned in a second pass from its
+        start; the slice that closes the list must end where "pairs" ends."""
         size = self.doc.get("size")
         if not _is_int(size) or size < 0 or size * size > _MAX_CELLS:
             raise _Unrecognised
-        self.adj = np.zeros((size, size), dtype=bool)
-        for values in self.held:
-            self._write(values)
-        self.held = []
-
-    def _write(self, values: np.ndarray) -> None:
-        """Set the pairs of a slice's indices; held until "size" is read."""
-        if self.adj is None:
-            self.held.append(values)
-        elif values.max(initial=-1) < len(self.adj):  # the scan reads no negative index
-            self.adj[values[0::2], values[1::2]] = True
-        else:  # the json.loads route names the first pair out of range
-            raise _Unrecognised
+        adj = np.zeros((size, size), dtype=bool)
+        if span is None:
+            return adj
+        self.fh.seek(span[0])
+        self.buf, self.i = b"", 0
+        for k, raw in enumerate(self._slices()):
+            values, last = _scan_slice(raw, k == 0)
+            if values.max(initial=-1) >= size:  # the json.loads route names the pair
+                raise _Unrecognised
+            adj[values[0::2], values[1::2]] = True  # the scan reads no negative index
+            if last:
+                if self._at() != span[1]:  # a ']' more than the list needs
+                    raise _Unrecognised
+                return adj
+        raise _Unrecognised
 
 
 def utf8_text(raw: bytes, name) -> str:
@@ -256,22 +259,18 @@ def parse_relation(source: Union[str, BinaryIO]) -> FiniteRelation:
     """The relation in a JSON document, given as its text or as a binary
     file that can seek.
 
-    The document is streamed in slices of _SLICE bytes.  What the stream
-    does not recognise is read again whole and goes through json.loads,
-    which gives the same relation or error.
+    The document is streamed in slices of _SLICE bytes, "pairs" in a second
+    pass.  What the stream does not recognise is read again whole and goes
+    through json.loads, which gives the same relation or error.
     """
-    if isinstance(source, str):
-        text, fh = source, io.BytesIO(source.encode("utf-8", "surrogatepass"))
-    else:
-        text, fh = None, source
+    text = source if isinstance(source, str) else None
+    fh = source if text is None else io.BytesIO(text.encode("utf-8", "surrogatepass"))
     start = fh.tell()
-    stream = _RelationStream(fh)
     try:
-        doc, adj = stream.read()
+        doc, adj = _RelationStream(fh).read()
     except (_Unrecognised, UnicodeDecodeError, MemoryError):
         doc = None
     if doc is None:  # outside the handler, so its traceback no longer holds the stream
-        stream = None
         if text is None:
             fh.seek(start)
             text = utf8_text(fh.read(), getattr(source, "name", "input"))

@@ -288,6 +288,36 @@ def test_bad_subset_is_a_parse_error(spec, message):
     assert (code, out, err) == (EXIT_IO, "", f"altiset: parse error: {message}\n")
 
 
+PLANE = "x,y,h\n0,0,5\n1,1,3\n"
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    ("x,y\n1,2\n3,4\n1,2\n", ["correlate"], "duplicate points are not allowed"),
+    ("x,h\n0,5\n1,3\n", ["skyline", "--ref", "1,x"],
+     "bad reference '1,x': could not convert string to float: 'x'"),
+    ("x,h\n0,5\n1,3\n", ["skyline", "--ref", "1,2,3"], "reference must be X or X,Y, got '1,2,3'"),
+    ("a,b,c,d\n0,0,0,5\n", ["skyline", "--ref", "0"], "expected 2 (x,h) or 3 (x,y,h) columns"),
+    ("x,h\n", ["skyline", "--ref", "0"], "no data rows"),
+    (PLANE, ["skyline", "--ref", "0", "--method", "records"],
+     "3 columns (x,y,h) do not fit a real-line space"),
+    (PLANE, ["evolve", "--grid", "4by4"], "bad grid spec '4by4'; expected WxH"),
+    ('{"elements": ["a", "a"], "h": {"a": 1}, "family": [["a"]]}', ["collective"],
+     "ground-set elements must be distinct"),
+    ('{"elements": "ab", "h": {"a": 1}, "family": [["a"]]}', ["collective"],
+     '"elements" must be a list of strings'),
+    ('{"elements": ["a"], "h": {"a": 1}, "family": []}', ["collective"],
+     '"family" must be a nonempty list of element lists'),
+], ids=["duplicate-points", "ref-not-a-number", "ref-three-values", "four-columns",
+        "header-only", "plane-on-the-line", "grid-spec", "repeated-elements",
+        "elements-not-a-list", "empty-family"])
+def test_input_errors_are_parse_errors(text, argv, message, tmp_path):
+    # what a job reads is a parse error: exit 2, nothing on stdout, one line on stderr
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run_main([argv[0], str(path)] + argv[1:])
+    assert (code, out, err) == (EXIT_IO, "", f"altiset: parse error: {message}\n")
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=relation_documents(), data=st.data())
 def test_relation_subcommands_match_the_reference(doc, data, checks, tmp_path):
@@ -422,6 +452,14 @@ class TestExitCodes:
         ]) == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_help_lists_the_exit_codes_not_the_developer_notes(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert err.value.code == EXIT_OK
+        assert "2 I/O or parse error (bad input, duplicate points or a bad --subset)" in out
+        assert "OpenSSL" not in out and "sha256" not in out
 
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -9,6 +9,7 @@ from altiset.collective import (
     collective_altiset,
     pairwise_elimination,
     threshold_profile,
+    _profiles,
 )
 from altiset.errors import NonFiniteError, SubsetIndexError
 from altiset.oracles import collective_altiset_bruteforce, rh_dominates
@@ -115,10 +116,12 @@ class TestCollectiveAltiset:
         assert collective_altiset(family) == collective_altiset_bruteforce(family) == {0, 1}
         assert pairwise_elimination(family) == {0, 1}
 
-    def test_valuations_compare_exactly(self):
+    @pytest.mark.parametrize("low", [2**53, float(2**53)], ids=["int", "mixed"])
+    def test_valuations_compare_exactly(self, low):
         # as floats the two valuations tie and both members would survive
-        g = ValuedGroundSet(("a", "b"), {"a": 2**53 + 1, "b": 2**53})
+        g = ValuedGroundSet(("a", "b"), {"a": 2**53 + 1, "b": low})
         family = SubsetFamily(g, (frozenset("a"), frozenset("b")))
+        assert _profiles(family).tolist() == [[1, 1], [0, 1]]
         assert collective_altiset(family) == {0}
         assert pairwise_elimination(family) == {0}
         assert collective_altiset_bruteforce(family) == {0}

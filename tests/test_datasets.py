@@ -310,6 +310,19 @@ class TestRelationStream:
         assert rel.universe.labels == ("é", "b", "c")
 
     @pytest.mark.parametrize("size", SLICES)
+    @pytest.mark.parametrize("text", [
+        '{"size": 3, "pairs": [[0, 1], [2, 1]]}', '{"pairs": [[0, 1], [2, 1]], "size": 3}',
+    ], ids=["size-first", "size-last"])
+    def test_file_read_from_an_offset(self, text, size, monkeypatch):
+        # "pairs" is read again from its offset in the file, not in the document
+        fh = io.BytesIO(b'{"pairs": [[0, 0]]}' + text.encode())
+        fh.seek(19)
+        monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
+        with slices(size):
+            rel = datasets.parse_relation(fh)
+        assert set(rel.pairs()) == {(0, 1), (2, 1)}
+
+    @pytest.mark.parametrize("size", SLICES)
     def test_non_ascii_labels_take_the_stream(self, size, monkeypatch):
         # with one byte per read, each multi-byte character is cut by a slice end
         labels = ["café", "x\"y", "α", "山\U0001f5fb"]
@@ -395,13 +408,15 @@ class TestRelationStream:
             text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
             assert peak_bytes(datasets.parse_relation, text) <= peak_bytes(json.loads, text), indent
 
+    @pytest.mark.parametrize("sort_keys", [False, True], ids=["size-first", "size-last"])
     @pytest.mark.parametrize("indent", [None, 2])
-    def test_file_parse_peaks_below_the_file_size(self, total_order, indent, tmp_path):
+    def test_file_parse_peaks_below_the_file_size(self, total_order, indent, sort_keys, tmp_path):
         # 179,700 pairs: the file is 1.7 MB compact and 6.0 MB with indent=2,
-        # the matrix 0.36 MB
+        # the matrix 0.36 MB; sorted keys put "size" after "pairs", as emit writes it
         _, doc = total_order
         path = tmp_path / "total600.json"
-        path.write_text(json.dumps(doc, indent=indent, separators=None if indent else (",", ":")))
+        separators = None if indent else (",", ":")
+        path.write_text(json.dumps(doc, indent=indent, separators=separators, sort_keys=sort_keys))
         with open(path, "rb") as fh:
             assert peak_bytes(datasets.parse_relation, fh) < path.stat().st_size
 
