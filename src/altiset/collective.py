@@ -23,7 +23,9 @@ from .orders import maxima
 
 @dataclass(frozen=True)
 class ValuedGroundSet:
-    """A finite set with a real gain valuation per element."""
+    """A finite set with a real gain valuation per element, compared
+    exactly; NaN, an infinity or an integer beyond the float range raises
+    NonFiniteError."""
 
     elements: tuple[Hashable, ...]
     valuation: dict
@@ -35,13 +37,21 @@ class ValuedGroundSet:
         missing = [e for e in self.elements if e not in self.valuation]
         if missing:
             raise DimensionError(f"valuation missing for {missing}")
-        bad = [e for e in self.elements if not math.isfinite(self.valuation[e])]
+        bad = [e for e in self.elements if not _finite(self.valuation[e])]
         if bad:
             raise NonFiniteError(f"valuation of {bad[0]!r} must be finite")
 
     def thresholds(self) -> list[float]:
         """Distinct valuation values, descending."""
         return sorted({self.valuation[e] for e in self.elements}, reverse=True)
+
+
+def _finite(v) -> bool:
+    """A number within the float range, and not NaN or an infinity."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 def _load_json(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past int's string-conversion digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -57,16 +57,6 @@ def _is_finite_number(v) -> bool:
     """A JSON number: not a boolean, and not NaN or an infinity (which
     json.loads reads from NaN, Infinity and -Infinity)."""
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
-
-
-def _finite_float(v, name: str) -> float:
-    """A finite JSON number as a float; a ParseError names the field otherwise."""
-    try:
-        if _is_finite_number(v):
-            return float(v)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ParseError(f"{name} must be a finite number")
 
 
 _CLASSES = bytes.maketrans(b"0123456789\t\n\r", b"0000000000   ")
@@ -372,7 +362,7 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
 
 
 def parse_family(text: str) -> SubsetFamily:
-    from .collective import SubsetFamily, ValuedGroundSet
+    from .collective import SubsetFamily, ValuedGroundSet, _finite
 
     doc = _load_json(text)
     elements = doc.get("elements")
@@ -385,7 +375,9 @@ def parse_family(text: str) -> SubsetFamily:
     for e in elements:
         if e not in h:
             raise ParseError(f'"h" is missing element {e!r}')
-        valuation[e] = _finite_float(h[e], f'"h"[{e!r}]')
+        if not (_is_finite_number(h[e]) and _finite(h[e])):
+            raise ParseError(f'"h"[{e!r}] must be a finite number')
+        valuation[e] = h[e]  # as json.loads read it: an integer stays exact
     family = doc.get("family")
     if not isinstance(family, list) or not family:
         raise ParseError('"family" must be a nonempty list of element lists')

@@ -10,10 +10,10 @@ over the asymmetric interior rather than by peeling: an element's upper
 index is one more than the largest upper index among the elements that
 strictly dominate it.  That costs O(n^2) numpy work for any depth.  Each
 pass is `relation._levels` over the relation's own matrix, which builds
-the strict matrix of its direction and frees it on return, so a layering
-holds the relation plus one n x n work matrix.  The operator chains and
-their colorings are read off the two index vectors, and a cycle witness
-off the residue the upper pass leaves unplaced.
+the strict matrix of its direction bit-packed and frees it on return, so a
+layering holds the relation plus an n^2 / 8 byte work matrix.  The
+operator chains and their colorings are read off the two index vectors,
+and a cycle witness off the residue the upper pass leaves unplaced.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ relations; one that builds its own matrix keeps it through `adopt`.
 
 The strict part of R -- b strictly dominates a when (a, b) is in R and
 (b, a) is not -- is built as a matrix only by `_levels`, in the
-orientation its pass reads by rows, and freed on return; `_cycle` computes
-one strict row at a time, and `altiset` tests `_BLOCK` rows at a time.
+orientation its pass reads by rows, packed eight entries to a byte, and
+freed on return; `_cycle` computes one strict row at a time, and `altiset`
+tests `_BLOCK` rows at a time.
 """
 
 from __future__ import annotations
@@ -215,36 +216,47 @@ class FiniteRelation:
         return FiniteRelation.adopt(sub_universe, self.adjacency[np.ix_(ids, ids)]), idx
 
 
-_BLOCK = 256  # rows summed at once in _levels, and tested at once in altiset
+_BLOCK = 256  # rows tested at once in altiset
+_ROWS = 64  # strict rows built, packed or unpacked at once in _levels
 
 
 def _levels(adj: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Kahn's pass by levels over the strict part of R, or of R^-1 if inverse.
 
-    adj is R's own matrix.  The pass builds the strict matrix it reads by
-    rows, row f listing the elements f strictly dominates -- for R
-    np.greater(adj.T, adj), for R^-1 np.greater(adj, adj.T) -- and frees it
-    on return.  Level 1 holds the elements with no dominator, level k + 1
-    those whose last dominator left at level k.  Returns the 1-based level
-    of each element; 0 marks the residue that a cycle leaves unplaced.
+    adj is R's own matrix.  The pass reads the strict matrix by rows, row f
+    listing the elements f strictly dominates -- for R
+    np.greater(adj.T, adj), for R^-1 np.greater(adj, adj.T).  It builds
+    that matrix _ROWS rows at a time and keeps it bit-packed: n^2 / 8 bytes,
+    freed on return.  Level 1 holds the elements with no dominator, level
+    k + 1 those whose last dominator left at level k; a row is unpacked
+    when its element is placed.  Returns the 1-based level of each element;
+    0 marks the residue that a cycle leaves unplaced.
     """
-    dominates = np.greater(adj, adj.T) if inverse else np.greater(adj.T, adj)
-    n = dominates.shape[0]
+    n = adj.shape[0]
+    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     # strict dominators not yet placed; -1 once the element is placed
-    pending = dominates.sum(axis=0)
+    pending = np.zeros(n, dtype=np.int64)
+    for s in range(0, n, _ROWS):
+        rows, cols = adj[s : s + _ROWS], adj[:, s : s + _ROWS].T
+        block = np.greater(rows, cols) if inverse else np.greater(cols, rows)
+        pending += block.sum(axis=0)
+        packed[s : s + _ROWS] = np.packbits(block, axis=1)
     level = np.zeros(n, dtype=np.int64)
-    frontier = np.flatnonzero(pending == 0)
+    frontier = (pending == 0).nonzero()[0]  # one call where flatnonzero makes two, at every level
     k = 0
     while frontier.size:
         k += 1
         level[frontier] = k
         pending[frontier] = -1
-        if frontier.size == 1:
-            pending -= dominates[frontier[0]]
-        else:  # summed in blocks of rows: a wide frontier never copies the matrix
-            for s in range(0, frontier.size, _BLOCK):
-                pending -= dominates[frontier[s : s + _BLOCK]].sum(axis=0)
-        frontier = np.flatnonzero(pending == 0)
+        # unpacked bytes read as bool, so the counts run on the numpy loops
+        # the build uses: uint8 ones would page in about 0.1 MB more code
+        if frontier.size == 1:  # as at each of a total order's n levels: no sum to make
+            pending -= np.unpackbits(packed[frontier[0]], count=n).view(bool)
+        else:
+            for s in range(0, frontier.size, _ROWS):
+                block = np.unpackbits(packed[frontier[s : s + _ROWS]], axis=1, count=n)
+                pending -= block.view(bool).sum(axis=0)
+        frontier = (pending == 0).nonzero()[0]
     return level
 
 

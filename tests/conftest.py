@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from altiset.collective import SubsetFamily, ValuedGroundSet
@@ -49,6 +50,16 @@ def random_aa_relation(rng: random.Random, size: int, density: float = 0.4) -> F
                 pairs.append((a, b))
                 pairs.append((b, a))
     return FiniteRelation.from_pairs(Universe(size), pairs)
+
+
+def aa_matrix(rng: np.random.Generator, size: int) -> np.ndarray:
+    """random_aa_relation's shape drawn in numpy, as a bool matrix: fast at
+    the sizes where blocked routes have many blocks."""
+    rank = rng.permutation(size)
+    drawn = rng.random((size, size)) < 0.4
+    sym = drawn & (rank[:, None] > rank[None, :]) & (rng.random((size, size)) < 0.5)
+    up = drawn & (rank[:, None] <= rank[None, :])
+    return up | sym | sym.T
 
 
 def random_system(rng: random.Random, size: int, max_orders: int = 4) -> OrderSystem:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from altiset import cli, datasets
 from altiset.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _read, build_parser, main
-from conftest import peak_bytes
+from conftest import aa_matrix, peak_bytes
 from test_package import installed_tracer, load_perfbench
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -318,6 +318,30 @@ def test_input_errors_are_parse_errors(text, argv, message, tmp_path):
     assert (code, out, err) == (EXIT_IO, "", f"altiset: parse error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["collective"], '{"elements": ["a"], "h": {"a": %s}, "family": [["a"]]}' % ("9" * 5000)),
+    (["layers", "--relation"], '{"size": 1, "pairs": [[0, %s]]}' % ("9" * 5000)),
+], ids=["valuation", "pair"])
+def test_integer_past_the_digit_limit_is_a_parse_error(argv, text, tmp_path):
+    # json.loads raises a ValueError that is no JSONDecodeError past
+    # sys.get_int_max_str_digits() digits, 4300 by default
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run_main(argv + [str(path)])
+    assert (code, out) == (EXIT_IO, "") and err.startswith("altiset: parse error: ")
+
+
+def test_collective_keeps_integer_valuations_exact(tmp_path):
+    # 2**53 + 1 and 2**53 are one float, so as floats the members would tie
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(
+        {"elements": ["a", "b"], "h": {"a": 2**53 + 1, "b": 2**53}, "family": [["a"], ["b"]]}
+    ))
+    code, out, err = run_main(["collective", str(path)])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["result"]["indices"] == [0]
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=relation_documents(), data=st.data())
 def test_relation_subcommands_match_the_reference(doc, data, checks, tmp_path):
@@ -608,13 +632,10 @@ def test_correlate_matches_library(tmp_path, capsys):
 
 def test_layers_peak_memory_stays_near_the_matrix(tmp_path):
     """A 2 MB relation file of about 200,000 pairs: the parse holds the
-    0.56 MB matrix and one slice of the file, and each Kahn pass one more
-    such matrix; nothing grows with the file."""
-    n, rng = 750, np.random.default_rng(750)
-    rank = rng.permutation(n)
-    drawn = rng.random((n, n)) < 0.4
-    sym = drawn & (rank[:, None] > rank[None, :]) & (rng.random((n, n)) < 0.5)
-    adj = (drawn & (rank[:, None] <= rank[None, :])) | sym | sym.T
+    0.56 MB matrix and one slice of the file, and each Kahn pass an eighth
+    of such a matrix; nothing grows with the file."""
+    n = 750
+    adj = aa_matrix(np.random.default_rng(750), n)
     path = tmp_path / "aa750.json"
     path.write_text(json.dumps({"size": n, "pairs": np.argwhere(adj).tolist()}, separators=(",", ":")))
     out = tmp_path / "out.json"

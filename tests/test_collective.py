@@ -141,3 +141,7 @@ class TestValuedGroundSet:
     def test_non_finite_valuation(self, bad):
         with pytest.raises(NonFiniteError):
             ValuedGroundSet(("a", "b"), {"a": 1.0, "b": bad})
+
+    def test_integer_beyond_float_range(self):
+        with pytest.raises(NonFiniteError, match="valuation of 'a' must be finite"):
+            ValuedGroundSet(("a",), {"a": 10**400})

@@ -8,7 +8,7 @@ from altiset.layers import upper_layers
 from altiset.oracles import altiset_bruteforce
 from altiset.relation import FiniteRelation, Universe, union
 
-from conftest import peak_bytes, random_aa_relation, random_relation
+from conftest import aa_matrix, peak_bytes, random_aa_relation, random_relation
 
 
 def rel(size, pairs):
@@ -198,10 +198,15 @@ class TestPredicates:
         assert found > 30 and all(r.find_asym_cycle() for r in cases[-3:])
 
     def test_cycle_search_peak_memory(self):
-        # one strict matrix for the Kahn pass; the walk computes its rows
+        # one packed strict matrix for the Kahn pass; the walk computes its rows
         n = 2000
         ring = rel(n, [(i, (i + 1) % n) for i in range(n)])
-        assert peak_bytes(FiniteRelation.find_asym_cycle, ring) <= 1.25 * n * n
+        assert peak_bytes(FiniteRelation.find_asym_cycle, ring) <= 0.25 * n * n
+
+    def test_aa_check_peak_memory(self):
+        n = 2000
+        r = FiniteRelation.adopt(Universe(n), aa_matrix(np.random.default_rng(0), n))
+        assert peak_bytes(FiniteRelation.has_aa_property, r) <= 0.25 * n * n
 
     def test_is_symmetric(self):
         assert rel(2, [(0, 1), (1, 0)]).is_symmetric()
