@@ -10,6 +10,10 @@ systems, collective comparison, geographic skylines and record events,
 by one sweep for at most two columns and a block filter for more.
 `quotient` reads the class order off the key ranks of one member per
 class, and `pareto_layers` peels two columns into successive maxima.
+
+The kernel (`maxima`, `pareto_layers`) needs no relation, and no CLI job
+calls the order-system functions that do, so `KeyedOrder.relation`,
+`quotient` and `_ranks` import `relation` when called.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError, PartitionError
-from .relation import FiniteRelation, Universe, key_array
+
+if TYPE_CHECKING:
+    from .relation import FiniteRelation, Universe
 
 GAIN = "gain"
 PRICE = "price"
@@ -145,6 +151,8 @@ class KeyedOrder:
         Equal-keyed distinct elements are incomparable, not mutually
         related; that keeps the order antisymmetric.
         """
+        from .relation import FiniteRelation
+
         less = FiniteRelation.induce(universe, self.keys).adjacency
         eye = np.eye(universe.size, dtype=bool)
         adj = np.logical_or(less if self.direction == GAIN else less.T, eye, order="C")
@@ -195,6 +203,8 @@ def quotient(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> Quo
     over the subset (default: the whole universe).  Read off the key ranks
     of each class's first member: class i lies below class j when j's
     ranks dominate i's, >= in every column and > in one."""
+    from .relation import FiniteRelation, Universe
+
     classes = indistinguishability(system)
     if subset is not None:
         keep = set(system.universe.check_subset(subset))
@@ -210,6 +220,8 @@ def _ranks(system: OrderSystem) -> np.ndarray:
     """(elements, orders) dense ranks of the keys, larger better: each key
     column ranked in the order `FiniteRelation.induce` compares it,
     negated for a price order."""
+    from .relation import key_array
+
     cols = []
     for o in system.orders:
         rank = np.unique(key_array(o.keys), return_inverse=True)[1]

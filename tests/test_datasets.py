@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altiset import datasets, emit
+from altiset import datasets, emit, relstream
 from altiset.errors import AltisetError, ParseError
 from altiset.geoalt import EUCLIDEAN_2D, REAL_LINE
 from altiset.relation import FiniteRelation, Universe
@@ -90,7 +90,7 @@ def parse_outcome(text: str, stream: bool = True):
     """parse_relation's relation, or its error's type and message;
     stream=False forces the json.loads route."""
     route = mock.patch.object(
-        datasets._RelationStream, "read", side_effect=datasets._Unrecognised
+        relstream._RelationStream, "read", side_effect=relstream._Unrecognised
     )
     with contextlib.nullcontext() if stream else route:
         try:
@@ -104,8 +104,8 @@ def stream_read(text: str):
     document to the json.loads route."""
     fh = io.BytesIO(text.encode("utf-8", "surrogatepass"))
     try:
-        return datasets._RelationStream(fh).read()
-    except (datasets._Unrecognised, UnicodeDecodeError, MemoryError):
+        return relstream._RelationStream(fh).read()
+    except (relstream._Unrecognised, UnicodeDecodeError, MemoryError):
         return None
 
 
@@ -124,7 +124,7 @@ def slices(size):
     """Reads of size bytes for the stream; None keeps the default."""
     if size is None:
         return contextlib.nullcontext()
-    return mock.patch.object(datasets, "_SLICE", size)
+    return mock.patch.object(relstream, "_SLICE", size)
 
 
 BLANKS = st.sampled_from(["", "", " ", "\n  ", "\t\r"])
@@ -295,9 +295,9 @@ class TestRelationStream:
             assert pairs_of(read[1]) == set(map(tuple, pairs))
 
     def test_slice_scan_reads_18_digit_indices(self):
-        values, last = datasets._scan_slice(b"[[8,10],\t[0,7] ,[123456789012345678,0]]", True)
+        values, last = relstream._scan_slice(b"[[8,10],\t[0,7] ,[123456789012345678,0]]", True)
         assert values.tolist() == [8, 10, 0, 7, 123456789012345678, 0] and last
-        values, last = datasets._scan_slice(b",[1,2]", False)
+        values, last = relstream._scan_slice(b",[1,2]", False)
         assert values.tolist() == [1, 2] and not last
 
     @pytest.mark.parametrize("size", SLICES)
@@ -342,7 +342,7 @@ class TestRelationStream:
         members = {"size": n, "pairs": [[0, 1], [n - 1, 0]]}
         doc = {"labels": labels, **members} if before else {**members, "labels": labels}
         text = json.dumps(doc, ensure_ascii=False)
-        assert len(json.dumps(labels, ensure_ascii=False).encode()) > datasets._SLICE
+        assert len(json.dumps(labels, ensure_ascii=False).encode()) > relstream._SLICE
         expected = parse_outcome(text, stream=False)
         monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
         with slices(size):
@@ -397,7 +397,7 @@ class TestRelationStream:
     def test_total_order_takes_the_stream(self, total_order, indent, monkeypatch):
         rel, doc = total_order
         text = json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
-        assert len(text) > 20 * datasets._SLICE  # read in many slices
+        assert len(text) > 20 * relstream._SLICE  # read in many slices
         monkeypatch.setattr(datasets.json, "loads", mock.Mock(side_effect=AssertionError))
         assert datasets.parse_relation(text) == rel
         assert np.array_equal(stream_read(text)[1], rel.adjacency)

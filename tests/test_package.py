@@ -64,27 +64,36 @@ class TestExports:
         with pytest.raises(AttributeError, match=name):
             getattr(altiset, name)
 
-    def test_submodule_import_loads_only_its_dependencies(self):
-        code = "import sys, altiset.relation; print(' '.join(sorted(sys.modules)))"
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    @staticmethod
+    def modules_after(code, *argv, cwd=None):
+        """The names in sys.modules once code has run in a fresh interpreter
+        that imports altiset from this checkout; code prints them."""
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True, cwd=cwd,
             env={**os.environ, "PYTHONPATH": str(Path(altiset.__file__).parents[1])},
         ).stdout.split()
-        assert "altiset.relation" in out
-        for module in ("orders", "collective", "dependence", "geoalt", "domains", "datasets", "cli",
-                       "oracles", "emit"):
-            assert f"altiset.{module}" not in out
+
+    def test_submodule_import_loads_only_its_dependencies(self):
+        for module, absent in [
+            ("relation", [f"altiset.{m}" for m in ("orders", "collective", "dependence", "geoalt",
+                                                     "domains", "datasets", "cli", "oracles", "emit",
+                                                     "relstream")]),
+            ("orders", ["altiset.relation"]),  # the Pareto kernel builds no relation
+            ("cli", ["altiset.relation", "altiset.relstream", "csv", "_csv"]),  # each job loads its own path
+        ]:
+            out = self.modules_after(f"import sys, altiset.{module}; print(' '.join(sorted(sys.modules)))")
+            assert f"altiset.{module}" in out
+            assert not set(absent) & set(out), module
 
     @pytest.mark.parametrize("argv,runs", [
         (["altiset", "--relation", "cycle3.json"], ("relation",)),
         (["layers", "--relation", "chain3.json"], ("relation", "layers")),
-        (["correlate", "points_increasing.csv"], ("relation", "orders", "dependence")),
-        (["collective", "family.json"], ("relation", "orders", "collective")),
-        (["skyline", "summits.csv", "--ref", "0,0", "--method", "oracle"], ("relation", "orders", "geoalt")),
-        (["evolve", "evolve.csv", "--grid", "16x16"], ("relation", "orders", "geoalt", "domains")),
+        (["correlate", "points_increasing.csv"], ("orders", "dependence")),
+        (["collective", "family.json"], ("orders", "collective")),
+        (["skyline", "summits.csv", "--ref", "0,0", "--method", "oracle"], ("orders", "geoalt")),
+        (["evolve", "evolve.csv", "--grid", "16x16"], ("orders", "geoalt", "domains")),
     ], ids=["altiset", "layers", "correlate", "collective", "skyline", "evolve"])
     def test_cli_job_loads_only_what_it_runs(self, argv, runs):
-        fixtures = Path(__file__).parent / "fixtures"
         code = (
             "import contextlib, io, sys\n"
             "from altiset.cli import main\n"
@@ -92,14 +101,15 @@ class TestExports:
             "    assert main(sys.argv[1:]) == 0\n"
             "print(' '.join(sorted(sys.modules)))\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code, "--no-timestamp", *argv], capture_output=True, text=True,
-            check=True, cwd=fixtures,
-            env={**os.environ, "PYTHONPATH": str(Path(altiset.__file__).parents[1])},
-        ).stdout.split()
+        out = self.modules_after(code, "--no-timestamp", *argv, cwd=Path(__file__).parent / "fixtures")
         assert {m for m in KERNELS if f"altiset.{m}" in out} == set(runs)
         assert "altiset.oracles" not in out and "altiset.emit" not in out
         assert "_hashlib" not in out  # hashlib loads OpenSSL for its sha256
+        # the relation stream is read by relation jobs only, and only CSV and family jobs load csv
+        reads_relation = "relation" in runs
+        assert ("altiset.relstream" in out) == reads_relation
+        if reads_relation:
+            assert "csv" not in out and "_csv" not in out
 
 
 class TestTracingTargets:
