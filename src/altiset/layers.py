@@ -98,13 +98,12 @@ def chain_coloring(term: Sequence[str], rel: FiniteRelation) -> tuple[int, ...]:
 
 
 def longest_chain(strict: FiniteRelation) -> int:
-    """Vertex count of the longest chain of a strict order; transitivity is
-    one float32 product, whose path counts are exact while n < 2**24."""
-    adj = strict.adjacency
-    if adj.trace() or (adj & adj.T).any():
+    """Vertex count of the longest chain of a strict order, one that is its
+    own asymmetric interior (so no loop and no symmetric pair) and its own
+    transitive closure."""
+    if strict.asym_interior() != strict:
         raise NotAStrictOrderError("relation is not irreflexive and asymmetric")
-    a = adj.astype(np.float32)
-    if (a @ a > 0)[~adj].any():
+    if strict.transitive_closure() != strict:
         raise NotAStrictOrderError("relation is not transitive")
     # a strict order is acyclic, and its level count is its longest chain
-    return int(_levels(adj).max(initial=0))
+    return int(_levels(strict.adjacency).max(initial=0))

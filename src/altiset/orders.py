@@ -232,21 +232,20 @@ def _ranks(system: OrderSystem) -> np.ndarray:
 def altiset_of_system(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> frozenset[int]:
     """Union of the maximal indistinguishability classes: the Pareto maxima
     of the key ranks over the subset (default: the whole universe)."""
-    if subset is None:
-        idx = np.arange(system.universe.size)
-    else:
-        idx = np.array(system.universe.check_subset(subset), dtype=np.intp)
-    return frozenset(idx[maxima(_ranks(system)[idx])].tolist())
+    idx = range(system.universe.size) if subset is None else system.universe.check_subset(subset)
+    return frozenset(np.compress(maxima(_ranks(system)[list(idx)]), idx).tolist())
 
 
 def decompose_altiset(system: OrderSystem, blocks: Sequence[Iterable[int]]) -> frozenset[int]:
-    """Altiset over the union of per-block altisets (one decomposition level)."""
+    """Altiset over the union of per-block altisets (one decomposition level),
+    each the Pareto maxima of one ranking of the keys."""
+    ranks = _ranks(system)
     seen: set[int] = set()
-    merged: set[int] = set()
+    merged: list[int] = []
     for block in blocks:
-        idx = system.universe.check_subset(block)
+        idx = list(system.universe.check_subset(block))
         if seen.intersection(idx):
             raise PartitionError(f"blocks overlap at {sorted(seen.intersection(idx))}")
         seen.update(idx)
-        merged.update(altiset_of_system(system, idx))
-    return altiset_of_system(system, merged)
+        merged += np.compress(maxima(ranks[idx]), idx).tolist()
+    return frozenset(np.compress(maxima(ranks[merged]), merged).tolist())

@@ -5,10 +5,12 @@ universe; row = first argument.  All operators are pure and return fresh
 relations; one that builds its own matrix keeps it through `adopt`.
 
 The strict part of R -- b strictly dominates a when (a, b) is in R and
-(b, a) is not -- is built as a matrix only by `_levels`, in the
-orientation its pass reads by rows, packed eight entries to a byte, and
-freed on return; `_cycle` computes one strict row at a time, and `altiset`
-tests `_BLOCK` rows at a time.
+(b, a) is not -- is compared out of R's matrix only by `_strict`, which
+sets the orientation: it returns the strict rows of given elements, of R
+or of R^-1.  `asym_interior` takes every row of R^-1; `_levels` takes
+`_ROWS` rows at a time and keeps them packed eight entries to a byte until
+it returns; `_cycle` takes one row at a time, and `altiset` takes the
+subset's members `_ROWS` at a time.
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ class FiniteRelation:
 
     def asym_interior(self) -> "FiniteRelation":
         """Strict-domination part: keep (a,b) only when (b,a) is absent."""
-        adj = self.adjacency
-        return FiniteRelation.adopt(self.universe, np.greater(adj, adj.T))
+        strict = _strict(self.adjacency, slice(None), inverse=True)
+        return FiniteRelation.adopt(self.universe, strict)
 
     def transitive_closure(self) -> "FiniteRelation":
         """Squares in float32, whose path counts are exact while n < 2**24."""
@@ -166,7 +168,7 @@ class FiniteRelation:
         return FiniteRelation.adopt(self.universe, np.logical_not(self.adjacency.T, order="C"))
 
     def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.adjacency, self.adjacency.T))
+        return not _strict(self.adjacency, slice(None)).any()
 
     def find_asym_cycle(self) -> Optional[list[int]]:
         """A cycle of the digraph (A, asym R), or None if acyclic; the
@@ -185,25 +187,18 @@ class FiniteRelation:
         """All significant (non-dominated) elements of the restriction to subset.
 
         a is significant iff no b in the subset strictly dominates it,
-        i.e. (a,b) in R and (b,a) not in R.  Tested `_BLOCK` rows at a
-        time against every column, masked to the subset, so no copy of the
-        restriction is made.
+        i.e. (a,b) in R and (b,a) not in R.  The `_strict` rows of the
+        members are read `_ROWS` at a time, and each block marks what its
+        members dominate, so no copy of the restriction is made.
         """
-        adj, n = self.adjacency, self.universe.size
         if subset is None:
-            idx = np.arange(n)
+            idx = np.arange(self.universe.size)
         else:
             idx = np.array(self.universe.check_subset(subset), dtype=int)
-        member = np.zeros(n, dtype=bool)
-        member[idx] = True
-        dominated = np.zeros(idx.size, dtype=bool)
-        for s in range(0, idx.size, _BLOCK):
-            rows = idx[s : s + _BLOCK]
-            block = adj[rows]
-            np.greater(block, adj[:, rows].T, out=block)  # b strictly dominates rows[i]
-            block &= member
-            dominated[s : s + _BLOCK] = block.any(axis=1)
-        return frozenset(idx[~dominated].tolist())
+        dominated = np.zeros(self.universe.size, dtype=bool)
+        for s in range(0, idx.size, _ROWS):
+            dominated |= _strict(self.adjacency, idx[s : s + _ROWS]).any(axis=0)
+        return frozenset(idx[~dominated[idx]].tolist())
 
     def restrict(self, subset: Iterable[int]) -> tuple["FiniteRelation", tuple[int, ...]]:
         """Relation on a re-indexed sub-universe, plus old-index mapping."""
@@ -216,29 +211,34 @@ class FiniteRelation:
         return FiniteRelation.adopt(sub_universe, self.adjacency[np.ix_(ids, ids)]), idx
 
 
-_BLOCK = 256  # rows tested at once in altiset
-_ROWS = 64  # strict rows built, packed or unpacked at once in _levels
+_ROWS = 64  # strict rows built, packed or unpacked at once in _levels and altiset
+
+
+def _strict(adj: np.ndarray, rows, inverse: bool = False) -> np.ndarray:
+    """Strict rows of the elements `rows` (an index, slice or index array)
+    in R, or in R^-1 if inverse, from R's own matrix adj: row i lists what
+    rows[i] strictly dominates.  The one place that sets the orientation."""
+    own, cols = adj[rows], adj[:, rows].T
+    return np.greater(own, cols) if inverse else np.greater(cols, own)
 
 
 def _levels(adj: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Kahn's pass by levels over the strict part of R, or of R^-1 if inverse.
 
     adj is R's own matrix.  The pass reads the strict matrix by rows, row f
-    listing the elements f strictly dominates -- for R
-    np.greater(adj.T, adj), for R^-1 np.greater(adj, adj.T).  It builds
-    that matrix _ROWS rows at a time and keeps it bit-packed: n^2 / 8 bytes,
-    freed on return.  Level 1 holds the elements with no dominator, level
-    k + 1 those whose last dominator left at level k; a row is unpacked
-    when its element is placed.  Returns the 1-based level of each element;
-    0 marks the residue that a cycle leaves unplaced.
+    listing the elements f strictly dominates, as `_strict` orients it.  It
+    builds that matrix _ROWS rows at a time and keeps it bit-packed: n^2 / 8
+    bytes, freed on return.  Level 1 holds the elements with no dominator,
+    level k + 1 those whose last dominator left at level k; a row is
+    unpacked when its element is placed.  Returns the 1-based level of each
+    element; 0 marks the residue that a cycle leaves unplaced.
     """
     n = adj.shape[0]
     packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     # strict dominators not yet placed; -1 once the element is placed
     pending = np.zeros(n, dtype=np.int64)
     for s in range(0, n, _ROWS):
-        rows, cols = adj[s : s + _ROWS], adj[:, s : s + _ROWS].T
-        block = np.greater(rows, cols) if inverse else np.greater(cols, rows)
+        block = _strict(adj, slice(s, s + _ROWS), inverse)
         pending += block.sum(axis=0)
         packed[s : s + _ROWS] = np.packbits(block, axis=1)
     level = np.zeros(n, dtype=np.int64)
@@ -265,14 +265,14 @@ def _cycle(adj: np.ndarray, unplaced: np.ndarray) -> list[int]:
 
     Each unplaced element has an unplaced strict dominator, so stepping to
     one repeats an element within n steps, and the repeat closes a cycle.
-    The strict dominators of v are computed from adj on the fly.  The
-    returned list has first == last index.
+    The strict dominators of v are its `_strict` row of R^-1, computed on
+    the fly.  The returned list has first == last index.
     """
     walk: dict[int, int] = {}  # element -> its step on the walk
     v = int(unplaced.argmax())
     while v not in walk:
         walk[v] = len(walk)
-        v = int(((adj[v] > adj[:, v]) & unplaced).argmax())
+        v = int((_strict(adj, v, inverse=True) & unplaced).argmax())
     return list(walk)[walk[v]:] + [v]
 
 

@@ -226,9 +226,8 @@ class TestAcrossBlockEdges:
     @given(small_relations())
     def test_blocked_routes_match_the_definitions(self, case):
         r, subset = case
-        for block in (1, 2, relation._BLOCK):
+        for block in (1, 2, relation._ROWS):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(relation, "_BLOCK", block)
                 mp.setattr(relation, "_ROWS", block)
                 upper, left = peel_by_operator(UPPER, r)
                 cycle = r.find_asym_cycle()
@@ -293,6 +292,45 @@ class TestLevels:
         r = FiniteRelation.adopt(Universe(1500), aa_matrix(np.random.default_rng(seed), 1500))
         d, e = upper_layers(r), upper_layers(r.inverse())
         assert (e.upper_index, e.lower_index) == (d.lower_index, d.upper_index)
+
+
+@st.composite
+def relabelled_cases(draw):
+    """An AA relation across several _ROWS blocks with n % 8 != 0, or one
+    with a strict 3-cycle written over it, a permutation q of its universe
+    and a subset."""
+    n = draw(st.integers(65, 200).filter(lambda n: n % 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj, cyclic = aa_matrix(rng, n), draw(st.booleans())
+    if cyclic:
+        x, y, z = rng.choice(n, 3, replace=False)
+        for a, b in ((x, y), (y, z), (z, x)):
+            adj[a, b], adj[b, a] = True, False
+    subset = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.1, 0.5, 1])))
+    return adj, rng.permutation(n), subset, cyclic
+
+
+class TestRelabelling:
+    @settings(max_examples=100, deadline=None)
+    @given(relabelled_cases())
+    def test_permuting_the_universe_permutes_the_results(self, case):
+        adj, q, subset, cyclic = case
+        universe = Universe(len(q))
+        # element j of s is element q[j] of r, and element a of r is new[a] of s
+        r, s = FiniteRelation(universe, adj), FiniteRelation(universe, adj[np.ix_(q, q)])
+        new = np.argsort(q)
+        assert s.altiset(new[subset].tolist()) == {int(new[a]) for a in r.altiset(subset.tolist())}
+        if cyclic:
+            assert not r.has_aa_property() and not s.has_aa_property()
+            cycle = s.find_asym_cycle()
+            assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1 >= 2
+            for a, b in zip(cycle, cycle[1:]):
+                assert (a, b) in s and (b, a) not in s
+        else:
+            d, e = upper_layers(r), upper_layers(s)
+            assert e.upper_index == tuple(np.array(d.upper_index)[q].tolist())
+            assert e.lower_index == tuple(np.array(d.lower_index)[q].tolist())
+            assert e.class_count == d.class_count
 
 
 class TestOperators:
@@ -509,10 +547,12 @@ class TestLongestChain:
         assert longest_chain(FiniteRelation.induce(Universe(300), list(range(300)))) == 300
 
     def test_not_strict_order_rejected(self):
-        with pytest.raises(NotAStrictOrderError):
-            longest_chain(rel(2, [(0, 1), (1, 0)]))
-        with pytest.raises(NotAStrictOrderError):
-            longest_chain(rel(3, [(0, 1), (1, 2)]))  # not transitive
+        # a loop alone is transitive, so only the asymmetry check sees it
+        for pairs in ([(0, 1), (1, 0)], [(0, 0)], [(0, 1), (1, 1)]):
+            with pytest.raises(NotAStrictOrderError, match="not irreflexive and asymmetric"):
+                longest_chain(rel(2, pairs))
+        with pytest.raises(NotAStrictOrderError, match="not transitive"):
+            longest_chain(rel(3, [(0, 1), (1, 2)]))
 
     def test_large_total_order_without_an_implied_pair_rejected(self):
         order = FiniteRelation.induce(Universe(1200), list(range(1200)))

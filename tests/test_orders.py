@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from altiset import orders
 from altiset.errors import DimensionError, NonFiniteError, PartitionError
 from altiset.orders import (
     GAIN,
@@ -418,6 +419,26 @@ class TestDecompose:
                 blocks.setdefault(rng.randint(0, 2), []).append(i)
             got = decompose_altiset(sys_, list(blocks.values()))
             assert got == altiset_of_system(sys_)
+
+    def test_keys_are_ranked_once(self, rng, monkeypatch):
+        calls, ranks = [], orders._ranks
+        monkeypatch.setattr(orders, "_ranks", lambda s: calls.append(s) or ranks(s))
+        sys_ = random_system(rng, 12)
+        got = decompose_altiset(sys_, [range(0, 12, 3), range(1, 12, 3), range(2, 12, 3)])
+        assert calls == [sys_]
+        assert got == altiset_of_system(sys_)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([10, 2000]), st.integers(1, 50))
+    def test_random_partitions_at_scale(self, seed, span, k):
+        # three orders take maxima's block filter in every block and the merge
+        n, r = 2000, np.random.default_rng(seed)
+        sys_ = OrderSystem(Universe(n), tuple(
+            KeyedOrder(tuple(r.integers(0, span, n).tolist()), d) for d in (GAIN, PRICE, GAIN)
+        ))
+        label = r.integers(0, k, n)
+        blocks = [np.flatnonzero(label == b).tolist() for b in range(k)]
+        assert decompose_altiset(sys_, blocks) == altiset_of_system(sys_)
 
     def test_partial_cover_decomposes_its_union(self, rng):
         sys_ = random_system(rng, 6)

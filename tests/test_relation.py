@@ -234,11 +234,11 @@ class TestAltiset:
         with pytest.raises(SubsetIndexError):
             rel(2, []).altiset({5})
 
-    @pytest.mark.parametrize("subset", [None, range(1, 2000)])
+    @pytest.mark.parametrize("subset", [None, range(1, 2000), range(0, 2000, 2)])
     def test_peak_memory_is_a_block_of_rows(self, subset):
         n = 2000
         r = FiniteRelation.adopt(Universe(n), np.triu(np.ones((n, n), dtype=bool)))
-        assert peak_bytes(r.altiset, subset) <= 0.5 * n * n
+        assert peak_bytes(r.altiset, subset) <= 0.15 * n * n
 
     def test_empty_universe(self):
         assert FiniteRelation.empty(Universe(0)).altiset() == frozenset()
