@@ -219,11 +219,10 @@ def _run_skyline(args, text):
 
 def _run_evolve(args, text):
     from .domains import DEFAULT_INFLATE, DEFAULT_RESOLUTION, GridMeasure, evolve
-    from .geoalt import EUCLIDEAN_2D
 
     inflate = DEFAULT_INFLATE if args.inflate is None else args.inflate
-    field = datasets.parse_summits_csv(text, (0.0, 0.0), EUCLIDEAN_2D)
-    summits = field.summits
+    rows = datasets._read_numeric_csv(text, 3, ("x", "y", "h"))
+    summits = [r[:2] for r in rows]
     if args.grid:
         try:
             nx, ny = (int(v) for v in args.grid.lower().split("x"))
@@ -233,7 +232,7 @@ def _run_evolve(args, text):
         nx = ny = DEFAULT_RESOLUTION
     grid = GridMeasure.around(summits, inflate=inflate, nx=nx, ny=ny)
     try:
-        trace = evolve(summits, field.altitudes, grid, max_steps=args.max_steps)
+        trace = evolve(summits, [r[2] for r in rows], grid, max_steps=args.max_steps)
     except MemoryError as exc:
         raise ParseError(f"grid {grid.nx}x{grid.ny} is too large to hold in memory") from exc
     settings = {

@@ -124,18 +124,19 @@ def parse_relation(source: Union[str, BinaryIO]) -> FiniteRelation:
 
 
 def _csv_rows(text: str):
-    """(line number, cells) of each CSV row that has a non-blank cell; a
+    """(line number, cells) of each CSV row that has a non-blank cell, past
+    one leading byte-order mark, which would make the first row a header; a
     row whose quoted cell spans lines is numbered by its last line."""
     import csv
 
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     for row in reader:
         if any(c.strip() for c in row):
             yield reader.line_num, row
 
 
 def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tuple[float, ...]]:
-    """Rows of exactly `columns` finite numeric cells; one header row tolerated."""
+    """At least one row of `columns` finite numeric cells; one header row tolerated."""
     rows: list[tuple[float, ...]] = []
     for kept, (lineno, row) in enumerate(_csv_rows(text)):
         if len(row) != columns:
@@ -151,6 +152,8 @@ def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tup
         if not all(map(math.isfinite, values)):
             raise ParseError(f"line {lineno}: non-finite cell in {row}")
         rows.append(values)
+    if not rows:
+        raise ParseError("no data rows")
     return rows
 
 
@@ -158,8 +161,6 @@ def parse_points_csv(text: str) -> PointSet2D:
     from .dependence import PointSet2D
 
     rows = _read_numeric_csv(text, 2, ("x", "y"))
-    if not rows:
-        raise ParseError("no data rows")
     try:
         return PointSet2D(tuple(rows))
     except AltisetError as exc:
@@ -179,8 +180,6 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
     if space is not None and (space == EUCLIDEAN_2D) != planar:
         raise ParseError(f"{width} columns ({','.join(names)}) do not fit a {space} space")
     rows = _read_numeric_csv(text, width, names)
-    if not rows:
-        raise ParseError("no data rows")
     summits = tuple(r[:2] if planar else r[0] for r in rows)
     altitudes = tuple(r[-1] for r in rows)
     kind = EUCLIDEAN_2D if planar else space or REAL_LINE

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AltisetError, DimensionError, GridError, NonFiniteError
-from .geoalt import EUCLIDEAN_2D, SummitField, geo_altiset_oracle
 
 DEFAULT_RESOLUTION = 128
 DEFAULT_INFLATE = 0.25
@@ -42,9 +41,10 @@ class GridMeasure:
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise GridError("bounding box is degenerate")
-        # finite spans keep every cell center, and so every distance, free of NaN
-        if not (math.isfinite(self.xmax - self.xmin) and math.isfinite(self.ymax - self.ymin)):
-            raise GridError("bounding box must have finite sides")
+        # squared distances inside the box, cell to summit for a grid from `around`, stay finite
+        dx, dy = self.xmax - self.xmin, self.ymax - self.ymin
+        if not math.isfinite(dx * dx + dy * dy):
+            raise GridError("bounding box must have a finite squared diagonal")
         if self.nx < 1 or self.ny < 1:
             raise GridError("resolution must be >= 1 in both axes")
 
@@ -113,7 +113,7 @@ def _check_field(summits, indices=(), heights=None, name: str = "altitudes") -> 
     summit, `heights` (called `name` in errors) holds one finite value per summit,
     and the summit coordinates are finite.  The descending sort of heights
     needs a total order, and the running minima need NaN-free distances
-    (the grid's finite sides rule out NaN centers).  Returns the heights
+    (the grid's finite diagonal rules out NaN centers).  Returns the heights
     as float64."""
     for index in indices:
         if not 0 <= index < len(summits):
@@ -140,6 +140,8 @@ def inverse_altiset_member(
     Read off the skyline of the field referenced at x, so ties follow the
     same exact squared-distance rule as `inverse_altiset_mask`.
     """
+    from .geoalt import EUCLIDEAN_2D, SummitField, geo_altiset_oracle
+
     _check_field(summits, [a], altitudes)
     return a in geo_altiset_oracle(SummitField(EUCLIDEAN_2D, summits, altitudes, x))
 

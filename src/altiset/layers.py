@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CyclicRelationError, DimensionError, NotAStrictOrderError
+from .errors import CyclicRelationError, DimensionError
 from .relation import FiniteRelation, _cycle, _levels
 
 UPPER = "v"  # remove the altiset of R
@@ -95,15 +95,3 @@ def chain_coloring(term: Sequence[str], rel: FiniteRelation) -> tuple[int, ...]:
     k, m = _chain_counts(term)
     first = np.minimum(np.searchsorted(k, d.upper_index), np.searchsorted(m, d.lower_index))
     return tuple((first + 1).tolist())
-
-
-def longest_chain(strict: FiniteRelation) -> int:
-    """Vertex count of the longest chain of a strict order, one that is its
-    own asymmetric interior (so no loop and no symmetric pair) and its own
-    transitive closure."""
-    if strict.asym_interior() != strict:
-        raise NotAStrictOrderError("relation is not irreflexive and asymmetric")
-    if strict.transitive_closure() != strict:
-        raise NotAStrictOrderError("relation is not transitive")
-    # a strict order is acyclic, and its level count is its longest chain
-    return int(_levels(strict.adjacency).max(initial=0))

@@ -13,10 +13,10 @@ import numpy as np
 
 from .collective import SubsetFamily, ValuedGroundSet, threshold_profile
 from .dependence import PointSet2D
-from .errors import DegenerateInputError, DimensionError, OracleSizeError
+from .errors import DegenerateInputError, DimensionError, NotAStrictOrderError, OracleSizeError
 from .layers import LOWER, UPPER
 from .orders import OrderSystem
-from .relation import FiniteRelation, union
+from .relation import FiniteRelation, _levels, union
 
 
 def altiset_bruteforce(rel: FiniteRelation, subset: Optional[Iterable[int]] = None) -> frozenset[int]:
@@ -98,6 +98,18 @@ def chromatic_number_oracle(graph: FiniteRelation, cap: int = 12) -> int:
         if colorable(k):
             return k
     return upper
+
+
+def longest_chain(strict: FiniteRelation) -> int:
+    """Vertex count of the longest chain of a strict order, one that is its
+    own asymmetric interior (so no loop and no symmetric pair) and its own
+    transitive closure."""
+    if strict.asym_interior() != strict:
+        raise NotAStrictOrderError("relation is not irreflexive and asymmetric")
+    if strict.transitive_closure() != strict:
+        raise NotAStrictOrderError("relation is not transitive")
+    # a strict order is acyclic, and its level count is its longest chain
+    return int(_levels(strict.adjacency).max(initial=0))
 
 
 def is_increasing_set(points: PointSet2D, indices: Sequence[int]) -> bool:

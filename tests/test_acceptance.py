@@ -37,7 +37,6 @@ from altiset.layers import (
     UPPER,
     chain_coloring,
     eval_chain,
-    longest_chain,
     upper_layers,
 )
 from altiset.oracles import (
@@ -45,6 +44,7 @@ from altiset.oracles import (
     apply_operator,
     chromatic_number_oracle,
     collective_altiset_bruteforce,
+    longest_chain,
     minimal_increasing_cover_bruteforce,
     system_union,
 )

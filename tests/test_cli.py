@@ -301,6 +301,8 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
     (PLANE, ["skyline", "--ref", "0", "--method", "records"],
      "3 columns (x,y,h) do not fit a real-line space"),
     (PLANE, ["evolve", "--grid", "4by4"], "bad grid spec '4by4'; expected WxH"),
+    ("", ["evolve"], "no data rows"),
+    ("1,2\n3,4\n", ["evolve"], "line 1: expected 3 columns (x, y, h), got 2"),
     ('{"elements": ["a", "a"], "h": {"a": 1}, "family": [["a"]]}', ["collective"],
      "ground-set elements must be distinct"),
     ('{"elements": "ab", "h": {"a": 1}, "family": [["a"]]}', ["collective"],
@@ -308,7 +310,8 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
     ('{"elements": ["a"], "h": {"a": 1}, "family": []}', ["collective"],
      '"family" must be a nonempty list of element lists'),
 ], ids=["duplicate-points", "ref-not-a-number", "ref-three-values", "four-columns",
-        "header-only", "plane-on-the-line", "grid-spec", "repeated-elements",
+        "header-only", "plane-on-the-line", "grid-spec", "evolve-empty", "evolve-two-columns",
+        "repeated-elements",
         "elements-not-a-list", "empty-family"])
 def test_input_errors_are_parse_errors(text, argv, message, tmp_path):
     # what a job reads is a parse error: exit 2, nothing on stdout, one line on stderr
@@ -406,6 +409,39 @@ def test_skyline_skips_a_first_row_of_blank_cells(tmp_path, capsys):
     path.write_text(",\n0,0,5\n1,1,3\n")
     assert main(["--no-timestamp", "skyline", str(path), "--ref", "0,0"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["result"]["altiset"] == [0]
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["correlate"], "1,2\n3,4\n5,7\n"),
+    (["skyline", "--ref", "0,0"], "0,0,5\n1,1,3\n2,0,4\n"),
+    (["evolve", "--grid", "8x8"], "-1,0,1\n1,0,1\n0,1,2\n"),
+], ids=["correlate", "skyline", "evolve"])
+def test_byte_order_mark_keeps_the_first_row(argv, text, tmp_path):
+    # float("\ufeff1") fails, so a kept mark would make the first data row a header
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    docs = []
+    for path in (plain, marked):
+        code, out, err = run_main([argv[0], str(path)] + argv[1:])
+        assert (code, err) == (EXIT_OK, "")
+        docs.append(json.loads(out))
+    assert docs[1]["result"] == docs[0]["result"]
+    assert docs[1]["meta"]["input_sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest()
+
+
+def test_evolve_far_from_the_origin_matches_the_library(tmp_path):
+    # each summit's squared distance to (0, 0) overflows; those to the cells do not
+    from altiset.domains import GridMeasure, evolve
+
+    rows = [(1e155, 0.0, 1.0), (1.00001e155, 0.0, 1.0), (1.000005e155, 1e150, 2.0)]
+    path = tmp_path / "far.csv"
+    path.write_text("".join(f"{x!r},{y!r},{h!r}\n" for x, y, h in rows))
+    code, out, err = run_main(["evolve", str(path), "--grid", "8x8"])
+    assert (code, err) == (EXIT_OK, "")
+    summits = [r[:2] for r in rows]
+    trace = evolve(summits, [r[2] for r in rows], GridMeasure.around(summits, nx=8))
+    assert json.loads(out)["result"]["final"] == list(trace.final)
 
 
 def test_evolve_trace_file(tmp_path, capsys):
@@ -595,6 +631,14 @@ class TestExitCodes:
             "--grid", "16x16", "--max-steps", steps,
         ]) == EXIT_DOMAIN
         assert message in capsys.readouterr().err
+
+    def test_evolve_box_whose_squared_diagonal_overflows_is_domain_error(self, tmp_path):
+        # squared distances across it would read inf and tie every far cell
+        path = tmp_path / "wide.csv"
+        path.write_text("0,0,1\n1e155,0,1\n2e155,0,2\n")
+        code, out, err = run_main(["evolve", str(path), "--grid", "8x8"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "altiset: error: bounding box must have a finite squared diagonal\n"
 
     def test_degenerate_correlate_is_domain_error(self, tmp_path, capsys):
         single = tmp_path / "one.csv"

@@ -91,6 +91,7 @@ class TestGridMeasure:
         (-math.inf, 1, 0, 1),
         (0, 1, 0, math.inf),
         (-1e308, 1e308, 0, 1),  # finite ends, but the side overflows
+        (0, 1e155, 0, 1e155),  # finite sides, but a squared distance overflows
     ])
     def test_infinite_side_rejected(self, box):
         with pytest.raises(GridError, match="finite"):

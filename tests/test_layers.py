@@ -16,10 +16,9 @@ from altiset.layers import (
     UPPER,
     chain_coloring,
     eval_chain,
-    longest_chain,
     upper_layers,
 )
-from altiset.oracles import apply_operator, chromatic_number_oracle
+from altiset.oracles import apply_operator, chromatic_number_oracle, longest_chain
 from altiset import relation
 from altiset.relation import FiniteRelation, Universe
 

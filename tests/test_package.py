@@ -79,6 +79,7 @@ class TestExports:
                                                      "domains", "datasets", "cli", "oracles", "emit",
                                                      "relstream")]),
             ("orders", ["altiset.relation"]),  # the Pareto kernel builds no relation
+            ("domains", ["altiset.geoalt", "altiset.orders"]),  # evolve takes no reference
             ("cli", ["altiset.relation", "altiset.relstream", "csv", "_csv"]),  # each job loads its own path
         ]:
             out = self.modules_after(f"import sys, altiset.{module}; print(' '.join(sorted(sys.modules)))")
@@ -91,7 +92,7 @@ class TestExports:
         (["correlate", "points_increasing.csv"], ("orders", "dependence")),
         (["collective", "family.json"], ("orders", "collective")),
         (["skyline", "summits.csv", "--ref", "0,0", "--method", "oracle"], ("orders", "geoalt")),
-        (["evolve", "evolve.csv", "--grid", "16x16"], ("orders", "geoalt", "domains")),
+        (["evolve", "evolve.csv", "--grid", "16x16"], ("domains",)),
     ], ids=["altiset", "layers", "correlate", "collective", "skyline", "evolve"])
     def test_cli_job_loads_only_what_it_runs(self, argv, runs):
         code = (
