@@ -187,7 +187,7 @@ def _run_collective(args, text):
     indices = sorted(collective_altiset(family))
     result = {
         "indices": indices,
-        "survivors": [sorted(family.members[i]) for i in indices],
+        "survivors": [sorted(family.member(i)) for i in indices],
     }
     return {}, result
 
@@ -221,8 +221,8 @@ def _run_evolve(args, text):
     from .domains import DEFAULT_INFLATE, DEFAULT_RESOLUTION, GridMeasure, evolve
 
     inflate = DEFAULT_INFLATE if args.inflate is None else args.inflate
-    rows = datasets._read_numeric_csv(text, 3, ("x", "y", "h"))
-    summits = [r[:2] for r in rows]
+    rows = datasets._read_array(text, 3, ("x", "y", "h"))
+    summits = rows[:, :2].tolist()
     if args.grid:
         try:
             nx, ny = (int(v) for v in args.grid.lower().split("x"))
@@ -232,7 +232,7 @@ def _run_evolve(args, text):
         nx = ny = DEFAULT_RESOLUTION
     grid = GridMeasure.around(summits, inflate=inflate, nx=nx, ny=ny)
     try:
-        trace = evolve(summits, [r[2] for r in rows], grid, max_steps=args.max_steps)
+        trace = evolve(summits, rows[:, 2], grid, max_steps=args.max_steps)
     except MemoryError as exc:
         raise ParseError(f"grid {grid.nx}x{grid.ny} is too large to hold in memory") from exc
     settings = {

@@ -54,21 +54,59 @@ def _finite(v) -> bool:
         return False
 
 
-@dataclass(frozen=True)
 class SubsetFamily:
-    ground: ValuedGroundSet
-    members: tuple[frozenset, ...]
+    """A nonempty family of subsets of a valued ground set.
 
-    def __post_init__(self):
-        members = tuple(frozenset(m) for m in self.members)
-        object.__setattr__(self, "members", members)
+    Member k is held as the run `index[offsets[k]:offsets[k + 1]]` of
+    ascending, distinct positions in `ground.elements`; `member(k)` and
+    `members` build the members as frozensets of elements."""
+
+    def __init__(self, ground: ValuedGroundSet, members):
+        members = [frozenset(m) for m in members]
         if not members:
             raise DimensionError("family must be nonempty")
-        ground = set(self.ground.elements)
+        position = {e: i for i, e in enumerate(ground.elements)}
         for k, m in enumerate(members):
-            stray = m - ground
+            stray = m - position.keys()
             if stray:
                 raise SubsetIndexError(f"member {k} has elements outside X: {sorted(map(str, stray))}")
+        runs = [sorted(position[e] for e in m) for m in members]
+        index = np.array([i for run in runs for i in run], dtype=np.intp)
+        self._keep(ground, index, np.cumsum([0] + [len(run) for run in runs]))
+
+    @classmethod
+    def adopt(cls, ground: ValuedGroundSet, index: np.ndarray, offsets: np.ndarray) -> "SubsetFamily":
+        """Family over member runs that nothing else holds: `offsets` has one
+        entry per member and a last one, `len(index)`, and each run is
+        ascending and distinct; the arrays are made read-only and kept."""
+        if len(offsets) < 2:
+            raise DimensionError("family must be nonempty")
+        family = cls.__new__(cls)
+        family._keep(ground, index, offsets)
+        return family
+
+    def _keep(self, ground: ValuedGroundSet, index: np.ndarray, offsets: np.ndarray) -> None:
+        index.setflags(write=False)
+        offsets.setflags(write=False)
+        self.ground, self.index, self.offsets = ground, index, offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def member(self, k: int) -> frozenset:
+        run = self.index[self.offsets[k] : self.offsets[k + 1]].tolist()
+        return frozenset(self.ground.elements[i] for i in run)
+
+    @property
+    def members(self) -> tuple[frozenset, ...]:
+        return tuple(self.member(k) for k in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubsetFamily):
+            return NotImplemented
+        return self.ground == other.ground and bool(
+            np.array_equal(self.offsets, other.offsets) and np.array_equal(self.index, other.index)
+        )
 
 
 def threshold_profile(member: Iterable, ground: ValuedGroundSet) -> tuple[int, ...]:
@@ -85,10 +123,20 @@ def threshold_profile(member: Iterable, ground: ValuedGroundSet) -> tuple[int, .
 
 
 def _profiles(family: SubsetFamily) -> np.ndarray:
-    """(members, thresholds) matrix of threshold profiles.  The counts
-    compare the valuations exactly, as Python does: 2**53 + 1 is above 2**53
-    and float(2**53).  An empty ground set gives (members, 0) profiles: everything ties."""
-    return np.array([threshold_profile(m, family.ground) for m in family.members], dtype=np.int64)
+    """(members, thresholds) matrix of threshold profiles, `threshold_profile`
+    of every member.  One Python sort ranks the T distinct valuations, so they
+    compare exactly, as Python does: 2**53 + 1 is above 2**53 and
+    float(2**53).  Entry (k, r) of one bincount counts member k's elements of
+    rank r, and its running sum along the row counts those of rank <= r.  An
+    empty ground set gives (members, 0) profiles: everything ties."""
+    ground = family.ground
+    rank = {v: r for r, v in enumerate(ground.thresholds())}
+    ranks = np.array([rank[ground.valuation[e]] for e in ground.elements], dtype=np.intp)
+    m, t = len(family), len(rank)
+    cell = np.repeat(np.arange(m) * t, np.diff(family.offsets))
+    cell += ranks[family.index]
+    counts = np.bincount(cell, minlength=m * t).reshape(m, t)
+    return np.cumsum(counts, axis=1, out=counts)
 
 
 def collective_altiset(family: SubsetFamily) -> frozenset[int]:

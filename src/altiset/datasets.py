@@ -8,11 +8,15 @@ A relation file is read by the byte stream of `relstream`, which scans
 recognise is read again whole and goes through json.loads, which gives the
 same answer and errors.
 
+A CSV file is read by `np.loadtxt` into one float64 (n, k) array; any
+input that route rejects, or reads as non-finite, is read again by
+`_read_numeric_csv`, the `csv` reader that names the fault and its line.
+
 A job loads only its own format's path: each parser imports the kernel
 types of its format when called, `parse_relation` also imports the stream,
-and the CSV parsers import `csv`.  So reading a relation loads neither
-skylines, collectives nor `csv`, and reading a CSV or family file loads
-neither the relation model nor the stream.
+and `csv` is imported only by the CSV fallback.  So reading a relation
+loads neither skylines, collectives nor `csv`, and reading a CSV or family
+file loads neither the relation model nor the stream.
 """
 
 from __future__ import annotations
@@ -20,11 +24,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import warnings
 from typing import TYPE_CHECKING, BinaryIO, Optional, Sequence, Union
 
 from .errors import AltisetError, ParseError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .collective import SubsetFamily
     from .dependence import PointSet2D
     from .geoalt import SummitField
@@ -157,12 +164,64 @@ def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tup
     return rows
 
 
+def _loaded(text: str) -> Optional[np.ndarray]:
+    """The rows of a CSV file as one float64 (n, k) array read by
+    `np.loadtxt`, k the width of the first row with a non-blank cell.  That
+    row is a header, skipped as `_read_numeric_csv` skips it, when `float`
+    rejects one of its cells.  None where the rows after it are not all k
+    finite numbers, or where a line up to it holds a quote, a NUL or a
+    carriage return before its end, which `csv` might not split at commas."""
+    import numpy as np
+
+    text = text.removeprefix("\ufeff")
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        line = text[start:end].removesuffix("\n").removesuffix("\r")
+        if '"' in line or "\0" in line or "\r" in line:
+            return None
+        cells = line.split(",")
+        if any(c.strip() for c in cells):
+            break
+        start = end
+    else:
+        return None
+    try:
+        for c in cells:
+            float(c)
+    except ValueError:
+        start = end  # a header row
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    data.seek(len(text[:start].encode("utf-8", "surrogatepass")))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns of a header with no rows
+            rows = np.loadtxt(
+                data, dtype=np.float64, delimiter=",", comments=None, ndmin=2, encoding="utf-8"
+            )
+    except ValueError:  # a cell it cannot read, or rows of two widths
+        return None
+    if len(rows) and rows.shape[1] == len(cells) and np.isfinite(rows).all():
+        return rows
+    return None
+
+
+def _read_array(text: str, columns: int, names: Sequence[str]) -> np.ndarray:
+    """`_read_numeric_csv`'s rows as one float64 (n, columns) array."""
+    import numpy as np
+
+    rows = _loaded(text)
+    if rows is not None and rows.shape[1] == columns:
+        return rows
+    return np.array(_read_numeric_csv(text, columns, names), dtype=np.float64)
+
+
 def parse_points_csv(text: str) -> PointSet2D:
     from .dependence import PointSet2D
 
-    rows = _read_numeric_csv(text, 2, ("x", "y"))
+    xy = _read_array(text, 2, ("x", "y"))
     try:
-        return PointSet2D(tuple(rows))
+        return PointSet2D.adopt(xy)
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -172,19 +231,23 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
     unless given."""
     from .geoalt import EUCLIDEAN_2D, REAL_LINE, SummitField
 
-    width = next((len(row) for _, row in _csv_rows(text)), None)
+    rows = _loaded(text)
+    if rows is not None:
+        width = rows.shape[1]
+    else:
+        width = next((len(row) for _, row in _csv_rows(text)), None)
     if width not in (2, 3):
         raise ParseError("expected 2 (x,h) or 3 (x,y,h) columns")
     planar = width == 3
     names = ("x", "y", "h") if planar else ("x", "h")
     if space is not None and (space == EUCLIDEAN_2D) != planar:
         raise ParseError(f"{width} columns ({','.join(names)}) do not fit a {space} space")
-    rows = _read_numeric_csv(text, width, names)
-    summits = tuple(r[:2] if planar else r[0] for r in rows)
-    altitudes = tuple(r[-1] for r in rows)
+    if rows is None:
+        rows = _read_array(text, width, names)
     kind = EUCLIDEAN_2D if planar else space or REAL_LINE
+    coords = rows[:, :2] if planar else rows[:, 0]
     try:
-        return SummitField(kind, summits, altitudes, reference)
+        return SummitField.adopt(kind, coords, rows[:, -1], reference)
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -193,6 +256,8 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
 
 
 def parse_family(text: str) -> SubsetFamily:
+    import numpy as np
+
     from .collective import SubsetFamily, ValuedGroundSet, _finite
 
     doc = _load_json(text)
@@ -212,16 +277,20 @@ def parse_family(text: str) -> SubsetFamily:
     family = doc.get("family")
     if not isinstance(family, list) or not family:
         raise ParseError('"family" must be a nonempty list of element lists')
-    members = []
+    # each member is kept as its run of ascending, distinct element positions
+    position = {e: i for i, e in enumerate(elements)}
+    index, offsets = [], [0]
     for k, m in enumerate(family):
         if not isinstance(m, list) or not all(isinstance(e, str) for e in m):
             raise ParseError(f'"family"[{k}] must be a list of element names')
-        stray = set(m) - set(elements)
-        if stray:
-            raise ParseError(f'"family"[{k}] has unknown elements {sorted(stray)}')
-        members.append(frozenset(m))
+        try:
+            index.extend(sorted({position[e] for e in m}))
+        except KeyError:
+            stray = sorted(set(m) - position.keys())
+            raise ParseError(f'"family"[{k}] has unknown elements {stray}') from None
+        offsets.append(len(index))
     try:
         ground = ValuedGroundSet(tuple(elements), valuation)
-        return SubsetFamily(ground, tuple(members))
+        return SubsetFamily.adopt(ground, np.array(index, np.intp), np.array(offsets, np.intp))
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc

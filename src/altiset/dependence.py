@@ -11,28 +11,60 @@ or (y, x) for decreasing ones, found with no n x n relation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InjectivityError, NonFiniteError
+from .errors import DegenerateInputError, DimensionError, InjectivityError, NonFiniteError
 from .orders import pareto_layers
 
 
-@dataclass(frozen=True)
 class PointSet2D:
-    points: tuple[tuple[float, float], ...]
+    """Finite planar points, no two equal, held as one read-only (n, 2)
+    float64 array `xy`; `points` builds them as tuples of floats."""
 
-    def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.points)
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+    def __init__(self, points):
+        self._keep(np.array([(float(x), float(y)) for x, y in points], dtype=float).reshape(-1, 2))
+
+    @classmethod
+    def adopt(cls, xy: np.ndarray) -> "PointSet2D":
+        """Point set over xy, an (n, 2) float64 array that nothing else
+        holds: it is made read-only and kept, where the constructor copies."""
+        if xy.dtype != np.float64 or xy.ndim != 2 or xy.shape[1] != 2:
+            raise DimensionError(f"points {xy.dtype} {xy.shape} are not an (n, 2) float64 array")
+        points = cls.__new__(cls)
+        points._keep(xy)
+        return points
+
+    def _keep(self, xy: np.ndarray) -> None:
+        if not np.isfinite(xy).all():
             raise NonFiniteError("point coordinates must be finite")
-        if len(set(pts)) != len(pts):
-            raise InjectivityError("duplicate points are not allowed")
-        object.__setattr__(self, "points", pts)
+        # equal points are adjacent once sorted; lexsort is stable, so a pair's rows ascend
+        order = np.lexsort((xy[:, 1], xy[:, 0]))
+        ranked = xy[order]
+        same = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1))
+        if same.size:
+            a, b = order[same[0]], order[same[0] + 1]
+            point = tuple(xy[a].tolist())
+            raise InjectivityError(
+                f"duplicate points are not allowed: rows {a} and {b} are both {point}"
+            )
+        xy.setflags(write=False)
+        self.xy = xy
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(map(tuple, self.xy.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointSet2D):
+            return NotImplemented
+        return bool(np.array_equal(self.xy, other.xy))
+
+    def __hash__(self):
+        return hash(self.points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xy)
 
 
 def _layers_for(points: PointSet2D, increasing: bool) -> np.ndarray:
@@ -40,7 +72,7 @@ def _layers_for(points: PointSet2D, increasing: bool) -> np.ndarray:
     increasing direction, (y, x) for the decreasing one."""
     if len(points) == 0:
         raise DegenerateInputError("point set is empty")
-    xy = np.array(points.points)
+    xy = points.xy
     return pareto_layers(np.column_stack([xy[:, 1], -xy[:, 0] if increasing else xy[:, 0]]))
 
 

@@ -124,8 +124,11 @@ def _check_field(summits, indices=(), heights=None, name: str = "altitudes") -> 
     for x, v in enumerate(h.tolist()):
         if not math.isfinite(v):
             raise NonFiniteError(f"{name} must be finite, got {v} for summit {x}")
-    if not all(math.isfinite(c) for s in summits for c in s):
-        raise NonFiniteError("summit coordinates must be finite")
+    for x, s in enumerate(summits):
+        if not all(map(math.isfinite, s)):
+            raise NonFiniteError(
+                f"summit coordinates must be finite, got ({', '.join(map(str, s))}) for summit {x}"
+            )
     return h
 
 

@@ -12,7 +12,6 @@ with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,57 +26,99 @@ REAL_LINE_LEFT = "real-line-left-restricted"
 _SPACES = (EUCLIDEAN_2D, REAL_LINE, REAL_LINE_LEFT)
 
 
-@dataclass(frozen=True)
 class SummitField:
-    """Finite summits with altitudes in a metric space, plus a reference."""
+    """Finite summits with altitudes in a metric space, plus a reference.
 
-    space: str
-    summits: tuple
-    altitudes: tuple[float, ...]
-    reference: tuple
+    The summits are held as one read-only float64 array `coords`, (n, 2) in
+    the plane and (n,) on the line, and the altitudes as `heights`;
+    `summits` and `altitudes` build them as tuples of floats."""
 
-    def __post_init__(self):
-        if self.space not in _SPACES:
-            raise SpaceKindError(f"unknown space kind {self.space!r}")
-        if self.space == EUCLIDEAN_2D:
-            summits = tuple((float(x), float(y)) for x, y in self.summits)
-            ref = (float(self.reference[0]), float(self.reference[1]))
+    def __init__(self, space: str, summits, altitudes, reference):
+        if _check_space(space) == EUCLIDEAN_2D:
+            coords = np.reshape([(float(x), float(y)) for x, y in summits], (-1, 2))
         else:
-            summits = tuple(float(x) for x in self.summits)
-            ref = float(self.reference)
-            if self.space == REAL_LINE_LEFT and any(s > ref for s in summits):
+            coords = np.array([float(x) for x in summits])
+        self._keep(space, coords, np.array([float(h) for h in altitudes]), reference)
+
+    @classmethod
+    def adopt(cls, space: str, coords: np.ndarray, heights: np.ndarray, reference) -> "SummitField":
+        """Field over float64 arrays that nothing else holds: they are made
+        read-only and kept, where the constructor copies."""
+        planar = _check_space(space) == EUCLIDEAN_2D
+        if coords.dtype != np.float64 or coords.shape[1:] != ((2,) if planar else ()):
+            raise DimensionError(f"summits {coords.dtype} {coords.shape} do not fit {space}")
+        if heights.dtype != np.float64 or heights.ndim != 1:
+            raise DimensionError(f"altitudes {heights.dtype} {heights.shape} are not float64")
+        field = cls.__new__(cls)
+        field._keep(space, coords, heights, reference)
+        return field
+
+    def _keep(self, space: str, coords: np.ndarray, heights: np.ndarray, reference) -> None:
+        if space == EUCLIDEAN_2D:
+            ref = (float(reference[0]), float(reference[1]))
+        else:
+            ref = float(reference)
+            if space == REAL_LINE_LEFT and (coords > ref).any():
                 raise SpaceKindError("left-restricted space requires summits <= reference")
-        altitudes = tuple(float(h) for h in self.altitudes)
-        if len(altitudes) != len(summits):
-            raise DimensionError(f"{len(altitudes)} altitudes for {len(summits)} summits")
-        object.__setattr__(self, "space", self.space)
-        object.__setattr__(self, "summits", summits)
-        object.__setattr__(self, "altitudes", altitudes)
-        object.__setattr__(self, "reference", ref)
-        with np.errstate(over="ignore", invalid="ignore"):
-            nearness = self.distance_keys()
+        if len(heights) != len(coords):
+            raise DimensionError(f"{len(heights)} altitudes for {len(coords)} summits")
+        coords.setflags(write=False)
+        heights.setflags(write=False)
+        self.space, self.coords, self.heights, self.reference = space, coords, heights, ref
+        if not np.isfinite(np.append(heights, ref)).all():
+            raise NonFiniteError("altitudes, the reference and the distances to it must be finite")
         # maxima sorts on these values, so they need a total order; a distance
         # that overflows to inf would tie its summits
-        if not np.isfinite(np.concatenate([altitudes, np.ravel(ref), nearness])).all():
-            raise NonFiniteError("altitudes, the reference and the distances to it must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            nearness = self.distance_keys()
+        far = np.flatnonzero(~np.isfinite(nearness))
+        if far.size:
+            raise NonFiniteError(
+                "altitudes, the reference and the distances to it must be finite, "
+                f"got distance {nearness[far[0]]} for summit {far[0]}"
+            )
+
+    @property
+    def summits(self) -> tuple:
+        if self.space == EUCLIDEAN_2D:
+            return tuple(map(tuple, self.coords.tolist()))
+        return tuple(self.coords.tolist())
+
+    @property
+    def altitudes(self) -> tuple[float, ...]:
+        return tuple(self.heights.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SummitField):
+            return NotImplemented
+        return (self.space, self.reference) == (other.space, other.reference) and bool(
+            np.array_equal(self.coords, other.coords) and np.array_equal(self.heights, other.heights)
+        )
+
+    def __hash__(self):
+        return hash((self.space, self.summits, self.altitudes, self.reference))
 
     def __len__(self) -> int:
-        return len(self.summits)
+        return len(self.heights)
 
     def distance_keys(self) -> np.ndarray:
         """Nearness to the reference, one float per summit, compared exactly:
         (x - rx)**2 + (y - ry)**2 in the plane, |s - ref| on the real line."""
-        s = np.array(self.summits, dtype=float)
         if self.space == EUCLIDEAN_2D:
             rx, ry = self.reference
-            s = s.reshape(-1, 2)
-            return (s[:, 0] - rx) ** 2 + (s[:, 1] - ry) ** 2
-        return np.abs(s - self.reference)
+            return (self.coords[:, 0] - rx) ** 2 + (self.coords[:, 1] - ry) ** 2
+        return np.abs(self.coords - self.reference)
+
+
+def _check_space(space: str) -> str:
+    if space not in _SPACES:
+        raise SpaceKindError(f"unknown space kind {space!r}")
+    return space
 
 
 def _keys(field: SummitField) -> np.ndarray:
     """(summits, 2) key matrix, larger better: altitude and -distance key."""
-    return np.column_stack([np.array(field.altitudes, dtype=float), -field.distance_keys()])
+    return np.column_stack([field.heights, -field.distance_keys()])
 
 
 def geo_altiset_oracle(field: SummitField) -> frozenset[int]:
@@ -128,4 +169,4 @@ def record_events_field(field: SummitField) -> frozenset[int]:
     """record_events over a real-line field; summits are event times."""
     if field.space == EUCLIDEAN_2D:
         raise SpaceKindError("record events need a real-line space")
-    return record_events(field.summits, field.altitudes)
+    return record_events(field.coords, field.heights)

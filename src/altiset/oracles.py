@@ -178,11 +178,11 @@ def rh_dominates(m: Iterable, n: Iterable, ground: ValuedGroundSet) -> bool:
 
 def collective_altiset_bruteforce(family: SubsetFamily) -> frozenset[int]:
     """Definitional double-loop altiset of the pairwise dominance relation."""
-    ground = family.ground
+    ground, members = family.ground, family.members
     out = set()
-    for k, mk in enumerate(family.members):
+    for k, mk in enumerate(members):
         significant = True
-        for l, ml in enumerate(family.members):
+        for l, ml in enumerate(members):
             if rh_dominates(mk, ml, ground) and not rh_dominates(ml, mk, ground):
                 significant = False
                 break

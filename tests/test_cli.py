@@ -292,7 +292,8 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
 
 
 @pytest.mark.parametrize("text,argv,message", [
-    ("x,y\n1,2\n3,4\n1,2\n", ["correlate"], "duplicate points are not allowed"),
+    ("x,y\n1,2\n3,4\n1,2\n", ["correlate"],
+     "duplicate points are not allowed: rows 0 and 2 are both (1.0, 2.0)"),
     ("x,h\n0,5\n1,3\n", ["skyline", "--ref", "1,x"],
      "bad reference '1,x': could not convert string to float: 'x'"),
     ("x,h\n0,5\n1,3\n", ["skyline", "--ref", "1,2,3"], "reference must be X or X,Y, got '1,2,3'"),

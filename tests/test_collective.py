@@ -1,7 +1,10 @@
 import itertools
+import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altiset.collective import (
     SubsetFamily,
@@ -11,10 +14,11 @@ from altiset.collective import (
     threshold_profile,
     _profiles,
 )
+from altiset.datasets import parse_family
 from altiset.errors import NonFiniteError, SubsetIndexError
 from altiset.oracles import collective_altiset_bruteforce, rh_dominates
 
-from conftest import random_family
+from conftest import peak_bytes, random_family
 
 
 def ground(values: dict) -> ValuedGroundSet:
@@ -134,6 +138,85 @@ class TestCollectiveAltiset:
         )
         family = SubsetFamily(g, members)
         assert collective_altiset(family) == pairwise_elimination(family)
+
+
+# tie-heavy valuations next to 2**53, where float64 would merge distinct ints
+NEAR_2_53 = [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 0, -1]
+VALUATIONS = {
+    "int": st.sampled_from(NEAR_2_53),
+    "float": st.sampled_from([float(v) for v in NEAR_2_53] + [0.5, -0.0]),
+    "mixed": st.sampled_from(NEAR_2_53 + [float(2**53), float(2**53 + 2), 0.5]),
+}
+
+
+@st.composite
+def families(draw, kind):
+    """A family over up to six elements valued from VALUATIONS[kind]; a
+    member may be empty and may name an element twice."""
+    elements = [f"e{i}" for i in range(draw(st.integers(0, 6)))]
+    h = {e: draw(VALUATIONS[kind]) for e in elements}
+    member = st.lists(st.sampled_from(elements), max_size=8) if elements else st.just([])
+    members = draw(st.lists(member, min_size=1, max_size=7))
+    return {"elements": elements, "h": h, "family": members}
+
+
+class TestProfiles:
+    """_profiles in one bincount against threshold_profile per member."""
+
+    @pytest.mark.parametrize("kind", VALUATIONS)
+    def test_rows_are_threshold_profiles(self, kind):
+        @settings(max_examples=150, deadline=None)
+        @given(doc=families(kind))
+        def check(doc):
+            ground = ValuedGroundSet(tuple(doc["elements"]), doc["h"])
+            built = SubsetFamily(ground, doc["family"])
+            # the parser keeps JSON integers exact and drops a repeated name
+            parsed = parse_family(json.dumps(doc))
+            expected = [list(threshold_profile(m, ground)) for m in doc["family"]]
+            for family in (built, parsed):
+                profiles = _profiles(family)
+                assert profiles.shape == (len(doc["family"]), len(ground.thresholds()))
+                assert profiles.tolist() == expected
+            assert parsed == built
+
+        check()
+
+    @pytest.mark.parametrize("kind", VALUATIONS)
+    def test_routes_match_the_bruteforce_oracle(self, kind):
+        @settings(max_examples=100, deadline=None)
+        @given(doc=families(kind))
+        def check(doc):
+            family = parse_family(json.dumps(doc))
+            oracle = collective_altiset_bruteforce(family)
+            assert collective_altiset(family) == pairwise_elimination(family) == oracle
+
+        check()
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_increasing_map_keeps_the_altiset_at_scale(self, seed):
+        # 2,000 members over 400 elements, valued 0..40: the cube keeps ints
+        # exact and exp(v / 7) makes floats; neither may change the answer
+        rng = random.Random(seed)
+        elements = tuple(f"e{i}" for i in range(400))
+        values = {e: rng.randint(0, 40) for e in elements}
+        members = [[e for e in elements if rng.random() < 0.5] for _ in range(2000)]
+        chosen = collective_altiset(SubsetFamily(ValuedGroundSet(elements, values), members))
+        for warp in (lambda v: v**3 + 2 * v, lambda v: math.exp(v / 7)):
+            warped = ValuedGroundSet(elements, {e: warp(v) for e, v in values.items()})
+            assert collective_altiset(SubsetFamily(warped, members)) == chosen
+
+    def test_parse_and_profiles_peak(self):
+        # 2,000 members over 400 elements; one frozenset per member and a
+        # generator per threshold peaked at 42.8 MB
+        rng = random.Random(7)
+        elements = [f"e{i}" for i in range(400)]
+        text = json.dumps({
+            "elements": elements,
+            "h": {e: rng.randint(0, 50) for e in elements},
+            "family": [[e for e in elements if rng.random() < 0.5] for _ in range(2000)],
+        })
+        assert peak_bytes(lambda: _profiles(parse_family(text))) < 35_000_000
 
 
 class TestValuedGroundSet:

@@ -1,16 +1,17 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altiset import datasets, emit, relstream
 from altiset.errors import AltisetError, ParseError
-from altiset.geoalt import EUCLIDEAN_2D, REAL_LINE
+from altiset.geoalt import EUCLIDEAN_2D, REAL_LINE, geo_altiset_oracle
 from altiset.relation import FiniteRelation, Universe
 from conftest import peak_bytes
 
@@ -450,6 +451,129 @@ class TestOrderSystemFormat:
     def test_non_finite_key(self, value):
         with pytest.raises(ParseError, match="finite numbers"):
             emit.parse_order_system(f'{{"size": 2, "orders": [{{"keys": [1, {value}]}}]}}')
+
+
+# cells float() and np.loadtxt read alike: ints, exponents, signed zeros,
+# blanks and U+00A0 around a cell
+PLAIN_CELLS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e5", "2E-3", "-0", "+0", "-0.0", "0e0", ".5", "1.", "9007199254740993",
+                     " 7 ", "\t8", "\u00a09\u00a0"]),
+)
+# float() reads "1_000" and Arabic-Indic digits where np.loadtxt does not, and
+# both read "1e999" as inf
+ODD_CELLS = st.sampled_from([
+    "1_000", "\u0661\u0662", "1e999", "-1E999", "nan", "inf", "-inf", "#", "", "x", '"3"',
+    '"4\n5"', "1 2", "\u00a0",
+])
+BLANK_ROWS = st.sampled_from(["", "   ", ",,", " , ", "\t"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV with maybe a BOM and a header, and blank, whitespace-only and
+    ",," rows.  Three in four are plain: numeric rows of one width and
+    LF or CRLF line ends.  The others add CR line ends, quoted cells (one
+    spanning lines), non-finite and non-numeric cells and rows of a wrong width."""
+    columns = draw(st.sampled_from([2, 3]))
+    plain = draw(st.sampled_from([True, True, True, False]))
+    cell = PLAIN_CELLS if plain else st.one_of(PLAIN_CELLS, PLAIN_CELLS, ODD_CELLS)
+    widths = [columns] if plain else [columns - 1, columns, columns, columns + 1]
+    data_row = st.sampled_from(widths).flatmap(
+        lambda k: st.lists(cell, min_size=k, max_size=k)
+    ).map(",".join)
+    lines = draw(st.lists(st.one_of(data_row, data_row, data_row, BLANK_ROWS), max_size=8))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, min(2, len(lines)))), ",".join("xyh"[:columns]))
+    ends = st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-1]  # no line end after the last row
+    return columns, ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def read_outcome(read, *args):
+    """What a reader returns, as comparable bytes, or its error's type and message."""
+    try:
+        result = read(*args)
+    except Exception as exc:  # csv.Error for a lone CR inside a row, in both routes
+        return type(exc).__name__, str(exc)
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    return result
+
+
+def csv_fallback(text, columns):
+    """_read_numeric_csv's rows as float64, or its ParseError."""
+    return np.array(datasets._read_numeric_csv(text, columns, "xyh"[:columns]), dtype=np.float64)
+
+
+class TestArrayReader:
+    """The np.loadtxt route against `_read_numeric_csv`, which it falls back to."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=csv_texts())
+    # a first row that splits at commas unlike csv: quoted, cut by a CR or
+    # (on Python 3.10, where csv rejects it) holding a NUL; one of another width
+    @example(case=(2, '"x,y"\n1,2\n'))
+    @example(case=(2, "\rx,y\n1,2\n"))
+    @example(case=(2, "x\0,y\n1,2\n"))
+    @example(case=(2, "x,y,h\n1,2\n"))
+    def test_fast_route_gives_the_fallbacks_rows_or_error(self, case):
+        columns, text = case
+        names = "xyh"[:columns]
+        assert read_outcome(datasets._read_array, text, columns, names) == read_outcome(
+            csv_fallback, text, columns
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_texts())
+    def test_parsers_match_the_csv_route(self, case):
+        _, text = case
+        for parse, args in [(datasets.parse_summits_csv, (text, 0.0)),
+                            (datasets.parse_points_csv, (text,))]:
+            fast = read_outcome(parse, *args)
+            with mock.patch.object(datasets, "_loaded", return_value=None):
+                assert fast == read_outcome(parse, *args)
+
+    @pytest.mark.parametrize("text", [
+        "x,y\r\n1,2\r\n-0,3e2\r\n", "\ufeff\n,\n x , y \n1,2\n\n\n3,4", "1,2\n", "1e-320,+5\n",
+    ])
+    def test_plain_csv_takes_the_fast_route(self, text, monkeypatch):
+        monkeypatch.setattr(datasets, "_read_numeric_csv", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(datasets, "_csv_rows", mock.Mock(side_effect=AssertionError))
+        rows = datasets._read_array(text, 2, "xy")
+        assert rows.dtype == np.float64 and rows.shape[1] == 2
+        datasets.parse_points_csv(text)
+        datasets.parse_summits_csv(text, 0.0)
+
+    @pytest.mark.parametrize("text,fault", [
+        ('x,y\n"1",2\n', None),
+        ("x,y\n1_000,2\n", None),
+        ("x,y\n1e999,2\n", "line 2: non-finite cell in ['1e999', '2']"),
+        ("x,y\n1,2\n3\n", "line 3: expected 2 columns (x, y), got 1"),
+        ("x,y\n1,2\n#,4\n", "line 3: non-numeric cell in ['#', '4']"),
+    ], ids=["quoted", "underscore", "overflow", "width", "hash"])
+    def test_other_inputs_take_the_fallback(self, text, fault):
+        assert datasets._loaded(text) is None
+        if fault is None:
+            assert datasets._read_array(text, 2, "xy").tolist() == [[1000.0 if "_" in text else 1.0, 2.0]]
+        else:
+            with pytest.raises(ParseError, match=re.escape(fault)):
+                datasets._read_array(text, 2, "xy")
+
+    def test_skyline_parse_and_oracle_peak(self):
+        # 10^5 rows: the text is 2.2 MB, the float64 rows 2.4 MB; the csv
+        # route's tuples of Python floats peaked at 33.7 MB
+        rng = np.random.default_rng(5)
+        cells = rng.integers(-10**6, 10**6, size=(100_000, 3))
+        text = "x,y,h\n" + "\n".join(f"{x},{y},{h}" for x, y, h in cells.tolist()) + "\n"
+
+        def run():
+            return geo_altiset_oracle(datasets.parse_summits_csv(text, (0.0, 0.0), EUCLIDEAN_2D))
+
+        assert peak_bytes(run) < 16_000_000
 
 
 class TestPointsCsv:

@@ -12,7 +12,7 @@ from altiset.dependence import (
     increasing_decomposition,
     increasingness_index,
 )
-from altiset.errors import DegenerateInputError, InjectivityError, NonFiniteError
+from altiset.errors import DegenerateInputError, DimensionError, InjectivityError, NonFiniteError
 from altiset.layers import upper_layers
 from altiset.oracles import is_increasing_set, minimal_increasing_cover_bruteforce
 from altiset.relation import FiniteRelation, Universe, union
@@ -51,6 +51,20 @@ class TestIndices:
     def test_duplicate_points_rejected(self):
         with pytest.raises(InjectivityError):
             pts((1, 1), (1, 1))
+        # the error names both rows of the least duplicated point; -0.0 == 0.0
+        with pytest.raises(InjectivityError, match=r"rows 1 and 3 are both \(1\.0, 1\.0\)$"):
+            pts((2, 2), (1, 1), (2, 2), (1, 1))
+        with pytest.raises(InjectivityError, match=r"rows 0 and 2 are both \(0\.0, 1\.0\)$"):
+            pts((0.0, 1), (3, 1), (-0.0, 1))
+
+    def test_adopt_keeps_the_array(self):
+        xy = np.array([[1.0, 2.0], [3.0, 1.0]])
+        points = PointSet2D.adopt(xy)
+        assert points.xy is xy and not xy.flags.writeable
+        assert points == pts((1, 2), (3, 1)) and hash(points) == hash(pts((1, 2), (3, 1)))
+        assert points.points == ((1.0, 2.0), (3.0, 1.0))
+        with pytest.raises(DimensionError):
+            PointSet2D.adopt(np.ones((2, 3)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, bad):

@@ -348,7 +348,7 @@ class TestInputChecks:
     def test_non_finite_coordinate(self, kernel, bad, summit, coordinate):
         summits = [[0.0, 0.0], [1.0, 0.0]]
         summits[summit][coordinate] = bad
-        with pytest.raises(NonFiniteError, match="coordinates"):
+        with pytest.raises(NonFiniteError, match=f"coordinates must be finite, got .* for summit {summit}$"):
             self.KERNELS[kernel](summits, [1.0, 2.0], 0)
 
     @pytest.mark.parametrize("kernel", ["mask", "member"])

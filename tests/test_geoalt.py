@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,10 +106,24 @@ class TestExactTies:
 
     def test_overflowing_distance_is_rejected(self):
         # the squared distances would both be inf, a false tie
-        with pytest.raises(NonFiniteError, match="distances to it must be finite"):
-            SummitField(EUCLIDEAN_2D, [(1e200, 0.0), (2e200, 0.0)], [1.0, 1.0], (0.0, 0.0))
-        with pytest.raises(NonFiniteError, match="distances to it must be finite"):
+        # the error names the first summit whose distance overflows
+        summits = [(1.0, 0.0), (1e200, 0.0), (2e200, 0.0)]
+        with pytest.raises(NonFiniteError, match="to it must be finite, got distance inf for summit 1$"):
+            SummitField(EUCLIDEAN_2D, summits, [1.0, 1.0, 1.0], (0.0, 0.0))
+        with pytest.raises(NonFiniteError, match="to it must be finite, got distance inf for summit 0$"):
             line_field([1e308], [1.0], ref=-1e308)
+
+    def test_adopt_keeps_the_arrays(self):
+        coords, heights = np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([3.0, 4.0])
+        field = SummitField.adopt(EUCLIDEAN_2D, coords, heights, (0, 0))
+        assert field.coords is coords and not coords.flags.writeable
+        assert field.summits == ((0.0, 0.0), (1.0, 2.0)) and field.altitudes == (3.0, 4.0)
+        assert field == SummitField(EUCLIDEAN_2D, [(0, 0), (1, 2)], [3, 4], (0, 0))
+        assert hash(field) == hash(SummitField(EUCLIDEAN_2D, [(0, 0), (1, 2)], [3, 4], (0, 0)))
+        with pytest.raises(DimensionError, match="do not fit real-line"):
+            SummitField.adopt(REAL_LINE, coords, heights, 0.0)
+        with pytest.raises(DimensionError, match="are not float64"):
+            SummitField.adopt(REAL_LINE, heights, np.array([1, 2]), 0.0)
 
     def test_nan_event_is_rejected(self):
         with pytest.raises(NonFiniteError):

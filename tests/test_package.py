@@ -86,6 +86,15 @@ class TestExports:
             assert f"altiset.{module}" in out
             assert not set(absent) & set(out), module
 
+    # runs the CLI on argv in a fresh interpreter, then prints the loaded modules
+    JOB = (
+        "import contextlib, io, sys\n"
+        "from altiset.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+
     @pytest.mark.parametrize("argv,runs", [
         (["altiset", "--relation", "cycle3.json"], ("relation",)),
         (["layers", "--relation", "chain3.json"], ("relation", "layers")),
@@ -95,22 +104,20 @@ class TestExports:
         (["evolve", "evolve.csv", "--grid", "16x16"], ("domains",)),
     ], ids=["altiset", "layers", "correlate", "collective", "skyline", "evolve"])
     def test_cli_job_loads_only_what_it_runs(self, argv, runs):
-        code = (
-            "import contextlib, io, sys\n"
-            "from altiset.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(sys.argv[1:]) == 0\n"
-            "print(' '.join(sorted(sys.modules)))\n"
-        )
-        out = self.modules_after(code, "--no-timestamp", *argv, cwd=Path(__file__).parent / "fixtures")
+        out = self.modules_after(self.JOB, "--no-timestamp", *argv, cwd=Path(__file__).parent / "fixtures")
         assert {m for m in KERNELS if f"altiset.{m}" in out} == set(runs)
         assert "altiset.oracles" not in out and "altiset.emit" not in out
         assert "_hashlib" not in out  # hashlib loads OpenSSL for its sha256
-        # the relation stream is read by relation jobs only, and only CSV and family jobs load csv
-        reads_relation = "relation" in runs
-        assert ("altiset.relstream" in out) == reads_relation
-        if reads_relation:
-            assert "csv" not in out and "_csv" not in out
+        # the relation stream is read by relation jobs only; the CSV fixtures
+        # take np.loadtxt, so no job loads csv
+        assert ("altiset.relstream" in out) == ("relation" in runs)
+        assert "csv" not in out and "_csv" not in out
+
+    def test_quoted_cell_takes_the_csv_fallback(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('x,y\n"1",2\n3,4\n')
+        out = self.modules_after(self.JOB, "--no-timestamp", "correlate", str(path))
+        assert "csv" in out and "_csv" in out
 
 
 class TestTracingTargets:
