@@ -58,37 +58,27 @@ class SubsetFamily:
     """A nonempty family of subsets of a valued ground set.
 
     Member k is held as the run `index[offsets[k]:offsets[k + 1]]` of
-    ascending, distinct positions in `ground.elements`; `member(k)` and
-    `members` build the members as frozensets of elements."""
+    ascending, distinct positions in `ground.elements`, both arrays
+    read-only; `member(k)` and `members` build the members as frozensets
+    of elements."""
 
     def __init__(self, ground: ValuedGroundSet, members):
-        members = [frozenset(m) for m in members]
-        if not members:
-            raise DimensionError("family must be nonempty")
         position = {e: i for i, e in enumerate(ground.elements)}
+        index, offsets = [], [0]
         for k, m in enumerate(members):
-            stray = m - position.keys()
-            if stray:
-                raise SubsetIndexError(f"member {k} has elements outside X: {sorted(map(str, stray))}")
-        runs = [sorted(position[e] for e in m) for m in members]
-        index = np.array([i for run in runs for i in run], dtype=np.intp)
-        self._keep(ground, index, np.cumsum([0] + [len(run) for run in runs]))
-
-    @classmethod
-    def adopt(cls, ground: ValuedGroundSet, index: np.ndarray, offsets: np.ndarray) -> "SubsetFamily":
-        """Family over member runs that nothing else holds: `offsets` has one
-        entry per member and a last one, `len(index)`, and each run is
-        ascending and distinct; the arrays are made read-only and kept."""
+            try:
+                index.extend(sorted({position[e] for e in m}))
+            except KeyError as exc:
+                raise SubsetIndexError(
+                    f"member {k} has element {exc.args[0]!r} outside the ground set"
+                ) from None
+            offsets.append(len(index))
         if len(offsets) < 2:
             raise DimensionError("family must be nonempty")
-        family = cls.__new__(cls)
-        family._keep(ground, index, offsets)
-        return family
-
-    def _keep(self, ground: ValuedGroundSet, index: np.ndarray, offsets: np.ndarray) -> None:
-        index.setflags(write=False)
-        offsets.setflags(write=False)
-        self.ground, self.index, self.offsets = ground, index, offsets
+        self.ground = ground
+        self.index, self.offsets = np.array(index, np.intp), np.array(offsets, np.intp)
+        self.index.setflags(write=False)
+        self.offsets.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1

@@ -137,13 +137,19 @@ def _csv_rows(text: str):
     import csv
 
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    for row in reader:
-        if any(c.strip() for c in row):
-            yield reader.line_num, row
+    try:
+        for row in reader:
+            if any(c.strip() for c in row):
+                yield reader.line_num, row
+    except csv.Error as exc:  # a carriage return inside a row, or a cell past the size limit
+        raise ParseError(f"line {reader.line_num}: {exc}") from exc
 
 
-def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tuple[float, ...]]:
-    """At least one row of `columns` finite numeric cells; one header row tolerated."""
+def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> np.ndarray:
+    """At least one row of `columns` finite numeric cells, as one float64
+    (n, columns) array; one header row tolerated."""
+    import numpy as np
+
     rows: list[tuple[float, ...]] = []
     for kept, (lineno, row) in enumerate(_csv_rows(text)):
         if len(row) != columns:
@@ -161,7 +167,7 @@ def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> list[tup
         rows.append(values)
     if not rows:
         raise ParseError("no data rows")
-    return rows
+    return np.array(rows, dtype=np.float64)
 
 
 def _loaded(text: str) -> Optional[np.ndarray]:
@@ -207,13 +213,11 @@ def _loaded(text: str) -> Optional[np.ndarray]:
 
 
 def _read_array(text: str, columns: int, names: Sequence[str]) -> np.ndarray:
-    """`_read_numeric_csv`'s rows as one float64 (n, columns) array."""
-    import numpy as np
-
+    """`_read_numeric_csv`'s rows, read by `np.loadtxt` where it can."""
     rows = _loaded(text)
     if rows is not None and rows.shape[1] == columns:
         return rows
-    return np.array(_read_numeric_csv(text, columns, names), dtype=np.float64)
+    return _read_numeric_csv(text, columns, names)
 
 
 def parse_points_csv(text: str) -> PointSet2D:
@@ -221,7 +225,7 @@ def parse_points_csv(text: str) -> PointSet2D:
 
     xy = _read_array(text, 2, ("x", "y"))
     try:
-        return PointSet2D.adopt(xy)
+        return PointSet2D(xy)
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -243,11 +247,11 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
     if space is not None and (space == EUCLIDEAN_2D) != planar:
         raise ParseError(f"{width} columns ({','.join(names)}) do not fit a {space} space")
     if rows is None:
-        rows = _read_array(text, width, names)
+        rows = _read_numeric_csv(text, width, names)
     kind = EUCLIDEAN_2D if planar else space or REAL_LINE
     coords = rows[:, :2] if planar else rows[:, 0]
     try:
-        return SummitField.adopt(kind, coords, rows[:, -1], reference)
+        return SummitField(kind, coords, rows[:, -1], reference)
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -256,8 +260,6 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
 
 
 def parse_family(text: str) -> SubsetFamily:
-    import numpy as np
-
     from .collective import SubsetFamily, ValuedGroundSet, _finite
 
     doc = _load_json(text)
@@ -277,20 +279,10 @@ def parse_family(text: str) -> SubsetFamily:
     family = doc.get("family")
     if not isinstance(family, list) or not family:
         raise ParseError('"family" must be a nonempty list of element lists')
-    # each member is kept as its run of ascending, distinct element positions
-    position = {e: i for i, e in enumerate(elements)}
-    index, offsets = [], [0]
     for k, m in enumerate(family):
         if not isinstance(m, list) or not all(isinstance(e, str) for e in m):
             raise ParseError(f'"family"[{k}] must be a list of element names')
-        try:
-            index.extend(sorted({position[e] for e in m}))
-        except KeyError:
-            stray = sorted(set(m) - position.keys())
-            raise ParseError(f'"family"[{k}] has unknown elements {stray}') from None
-        offsets.append(len(index))
     try:
-        ground = ValuedGroundSet(tuple(elements), valuation)
-        return SubsetFamily.adopt(ground, np.array(index, np.intp), np.array(offsets, np.intp))
+        return SubsetFamily(ValuedGroundSet(tuple(elements), valuation), family)
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc

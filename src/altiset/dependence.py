@@ -20,22 +20,15 @@ from .orders import pareto_layers
 
 class PointSet2D:
     """Finite planar points, no two equal, held as one read-only (n, 2)
-    float64 array `xy`; `points` builds them as tuples of floats."""
+    float64 array `xy`, a copy of the sequence or array the constructor is
+    given; `points` builds them as tuples of floats."""
 
     def __init__(self, points):
-        self._keep(np.array([(float(x), float(y)) for x, y in points], dtype=float).reshape(-1, 2))
-
-    @classmethod
-    def adopt(cls, xy: np.ndarray) -> "PointSet2D":
-        """Point set over xy, an (n, 2) float64 array that nothing else
-        holds: it is made read-only and kept, where the constructor copies."""
-        if xy.dtype != np.float64 or xy.ndim != 2 or xy.shape[1] != 2:
-            raise DimensionError(f"points {xy.dtype} {xy.shape} are not an (n, 2) float64 array")
-        points = cls.__new__(cls)
-        points._keep(xy)
-        return points
-
-    def _keep(self, xy: np.ndarray) -> None:
+        xy = np.array(points, dtype=np.float64)
+        if not xy.size:
+            xy = xy.reshape(0, 2)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise DimensionError(f"points of shape {xy.shape} are not an (n, 2) array")
         if not np.isfinite(xy).all():
             raise NonFiniteError("point coordinates must be finite")
         # equal points are adjacent once sorted; lexsort is stable, so a pair's rows ascend

@@ -30,31 +30,21 @@ class SummitField:
     """Finite summits with altitudes in a metric space, plus a reference.
 
     The summits are held as one read-only float64 array `coords`, (n, 2) in
-    the plane and (n,) on the line, and the altitudes as `heights`;
-    `summits` and `altitudes` build them as tuples of floats."""
+    the plane and (n,) on the line, and the altitudes as `heights`, copies
+    of the sequences or arrays the constructor is given; `summits` and
+    `altitudes` build them as tuples of floats."""
 
     def __init__(self, space: str, summits, altitudes, reference):
-        if _check_space(space) == EUCLIDEAN_2D:
-            coords = np.reshape([(float(x), float(y)) for x, y in summits], (-1, 2))
-        else:
-            coords = np.array([float(x) for x in summits])
-        self._keep(space, coords, np.array([float(h) for h in altitudes]), reference)
-
-    @classmethod
-    def adopt(cls, space: str, coords: np.ndarray, heights: np.ndarray, reference) -> "SummitField":
-        """Field over float64 arrays that nothing else holds: they are made
-        read-only and kept, where the constructor copies."""
         planar = _check_space(space) == EUCLIDEAN_2D
-        if coords.dtype != np.float64 or coords.shape[1:] != ((2,) if planar else ()):
-            raise DimensionError(f"summits {coords.dtype} {coords.shape} do not fit {space}")
-        if heights.dtype != np.float64 or heights.ndim != 1:
-            raise DimensionError(f"altitudes {heights.dtype} {heights.shape} are not float64")
-        field = cls.__new__(cls)
-        field._keep(space, coords, heights, reference)
-        return field
-
-    def _keep(self, space: str, coords: np.ndarray, heights: np.ndarray, reference) -> None:
-        if space == EUCLIDEAN_2D:
+        coords = np.array(summits, dtype=np.float64)
+        heights = np.array(altitudes, dtype=np.float64)
+        if planar and not coords.size:
+            coords = coords.reshape(0, 2)
+        if coords.ndim != 1 + planar or coords.shape[1:] != (2,) * planar:
+            raise DimensionError(f"summits of shape {coords.shape} do not fit {space}")
+        if heights.ndim != 1:
+            raise DimensionError(f"altitudes of shape {heights.shape} are not one per summit")
+        if planar:
             ref = (float(reference[0]), float(reference[1]))
         else:
             ref = float(reference)

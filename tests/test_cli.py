@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -289,6 +290,16 @@ def test_bad_subset_is_a_parse_error(spec, message):
 
 
 PLANE = "x,y,h\n0,0,5\n1,1,3\n"
+CR_INSIDE_ROW = "x,y\n1,2\r3,4\n5,7\n"
+LONG_CELL = "x,y\n1,2\n" + "a" * 140_000 + ",3\n"
+
+
+def csv_error(text):
+    """What the csv module says of text; its words vary across Python versions."""
+    try:
+        list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("text,argv,message", [
@@ -304,16 +315,20 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
     (PLANE, ["evolve", "--grid", "4by4"], "bad grid spec '4by4'; expected WxH"),
     ("", ["evolve"], "no data rows"),
     ("1,2\n3,4\n", ["evolve"], "line 1: expected 3 columns (x, y, h), got 2"),
+    (CR_INSIDE_ROW, ["correlate"], f"line 2: {csv_error(CR_INSIDE_ROW)}"),
+    (LONG_CELL, ["correlate"], f"line 3: {csv_error(LONG_CELL)}"),
     ('{"elements": ["a", "a"], "h": {"a": 1}, "family": [["a"]]}', ["collective"],
      "ground-set elements must be distinct"),
     ('{"elements": "ab", "h": {"a": 1}, "family": [["a"]]}', ["collective"],
      '"elements" must be a list of strings'),
     ('{"elements": ["a"], "h": {"a": 1}, "family": []}', ["collective"],
      '"family" must be a nonempty list of element lists'),
+    ('{"elements": ["a"], "h": {"a": 1}, "family": [["a"], ["a", "z"]]}', ["collective"],
+     "member 1 has element 'z' outside the ground set"),
 ], ids=["duplicate-points", "ref-not-a-number", "ref-three-values", "four-columns",
         "header-only", "plane-on-the-line", "grid-spec", "evolve-empty", "evolve-two-columns",
-        "repeated-elements",
-        "elements-not-a-list", "empty-family"])
+        "cr-inside-a-row", "cell-past-the-csv-limit", "repeated-elements",
+        "elements-not-a-list", "empty-family", "unknown-element"])
 def test_input_errors_are_parse_errors(text, argv, message, tmp_path):
     # what a job reads is a parse error: exit 2, nothing on stdout, one line on stderr
     path = tmp_path / "input"

@@ -15,7 +15,7 @@ from altiset.collective import (
     _profiles,
 )
 from altiset.datasets import parse_family
-from altiset.errors import NonFiniteError, SubsetIndexError
+from altiset.errors import DimensionError, NonFiniteError, SubsetIndexError
 from altiset.oracles import collective_altiset_bruteforce, rh_dominates
 
 from conftest import peak_bytes, random_family
@@ -55,6 +55,23 @@ class TestRhDominates:
         g = ground({"a": 2, "b": 1})
         assert rh_dominates({"b"}, {"a"}, g)
         assert not rh_dominates({"a"}, {"b"}, g)
+
+
+class TestSubsetFamily:
+    def test_members_are_sorted_distinct_positions(self):
+        family = SubsetFamily(ABC, (["c", "a", "c"], iter("b"), ()))
+        assert family.index.tolist() == [0, 2, 1] and family.offsets.tolist() == [0, 2, 3, 3]
+        assert not (family.index.flags.writeable or family.offsets.flags.writeable)
+        assert family.members == (frozenset("ac"), frozenset("b"), frozenset())
+
+    @pytest.mark.parametrize("form", [list, iter], ids=["list", "iterator"])
+    def test_unknown_element_names_member_and_element(self, form):
+        with pytest.raises(SubsetIndexError, match="^member 1 has element 'z' outside the ground set$"):
+            SubsetFamily(ABC, (form("ab"), form("azc")))
+
+    def test_empty_family(self):
+        with pytest.raises(DimensionError, match="family must be nonempty"):
+            SubsetFamily(ABC, ())
 
 
 class TestCollectiveAltiset:

@@ -497,7 +497,7 @@ def read_outcome(read, *args):
     """What a reader returns, as comparable bytes, or its error's type and message."""
     try:
         result = read(*args)
-    except Exception as exc:  # csv.Error for a lone CR inside a row, in both routes
+    except Exception as exc:
         return type(exc).__name__, str(exc)
     if isinstance(result, np.ndarray):
         return result.dtype.str, result.shape, result.tobytes()
@@ -562,6 +562,12 @@ class TestArrayReader:
         else:
             with pytest.raises(ParseError, match=re.escape(fault)):
                 datasets._read_array(text, 2, "xy")
+
+    def test_summits_fallback_runs_loadtxt_once(self, monkeypatch):
+        loaded = mock.Mock(wraps=datasets._loaded)
+        monkeypatch.setattr(datasets, "_loaded", loaded)
+        field = datasets.parse_summits_csv('x,h\n"1",5\n2,3\n', 0.0)
+        assert loaded.call_count == 1 and field.summits == (1.0, 2.0)
 
     def test_skyline_parse_and_oracle_peak(self):
         # 10^5 rows: the text is 2.2 MB, the float64 rows 2.4 MB; the csv
@@ -654,9 +660,16 @@ class TestFamilyFormat:
         assert again == family
 
     def test_unknown_member_element(self):
-        with pytest.raises(ParseError, match="unknown"):
+        with pytest.raises(ParseError, match="^member 0 has element 'z' outside the ground set$"):
             datasets.parse_family(
                 '{"elements": ["a"], "h": {"a": 1}, "family": [["z"]]}'
+            )
+
+    def test_member_types_are_checked_before_elements(self):
+        # every member's JSON type is checked before any name is looked up
+        with pytest.raises(ParseError, match=r'^"family"\[1\] must be a list of element names$'):
+            datasets.parse_family(
+                '{"elements": ["a"], "h": {"a": 1}, "family": [["z"], "a"]}'
             )
 
     def test_valuation_beyond_float_range(self):

@@ -1,6 +1,8 @@
 import math
 import random
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,10 @@ from altiset.relation import FiniteRelation, Universe, union
 
 def pts(*pairs):
     return PointSet2D(tuple(pairs))
+
+
+def pts_array(*pairs):
+    return PointSet2D(np.array(pairs, dtype=np.float64))
 
 
 def random_points(rng, n, lattice=None):
@@ -48,30 +54,47 @@ class TestIndices:
         assert increasingness_index(MIXED) == 2
         assert decreasingness_index(MIXED) == 3
 
-    def test_duplicate_points_rejected(self):
+    @pytest.mark.parametrize("make", [pts, pts_array], ids=["tuples", "array"])
+    def test_duplicate_points_rejected(self, make):
         with pytest.raises(InjectivityError):
-            pts((1, 1), (1, 1))
+            make((1, 1), (1, 1))
         # the error names both rows of the least duplicated point; -0.0 == 0.0
         with pytest.raises(InjectivityError, match=r"rows 1 and 3 are both \(1\.0, 1\.0\)$"):
-            pts((2, 2), (1, 1), (2, 2), (1, 1))
+            make((2, 2), (1, 1), (2, 2), (1, 1))
         with pytest.raises(InjectivityError, match=r"rows 0 and 2 are both \(0\.0, 1\.0\)$"):
-            pts((0.0, 1), (3, 1), (-0.0, 1))
+            make((0.0, 1), (3, 1), (-0.0, 1))
 
-    def test_adopt_keeps_the_array(self):
+    def test_constructor_copies_an_array(self):
         xy = np.array([[1.0, 2.0], [3.0, 1.0]])
-        points = PointSet2D.adopt(xy)
-        assert points.xy is xy and not xy.flags.writeable
+        points = PointSet2D(xy)
+        xy[0, 0] = 9.0  # the caller's array stays writable, and the model keeps its copy
+        assert not points.xy.flags.writeable
         assert points == pts((1, 2), (3, 1)) and hash(points) == hash(pts((1, 2), (3, 1)))
         assert points.points == ((1.0, 2.0), (3.0, 1.0))
-        with pytest.raises(DimensionError):
-            PointSet2D.adopt(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("points", [(), np.empty((0, 2))], ids=["tuples", "array"])
+    def test_empty_point_set(self, points):
+        assert PointSet2D(points).xy.shape == (0, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 1)])
+    def test_wrong_shape_is_a_dimension_error(self, shape):
+        with pytest.raises(DimensionError, match=r"are not an \(n, 2\) array"):
+            PointSet2D(np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [
+        2**53 + 1, 2**64 + 3, Decimal("0.1"), Fraction(1, 3), " 2 ", "1_000", "\u0661", True,
+        np.float32(0.1),
+    ])
+    def test_coordinates_convert_as_float_does(self, value):
+        assert PointSet2D(((value, -1), (0, 0))).points[0] == (float(value), -1.0)
+
+    @pytest.mark.parametrize("make", [pts, pts_array], ids=["tuples", "array"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_points_rejected(self, bad):
+    def test_non_finite_points_rejected(self, bad, make):
         with pytest.raises(NonFiniteError):
-            pts((1, 1), (bad, 2))
+            make((1, 1), (bad, 2))
         with pytest.raises(NonFiniteError):
-            pts((1, bad))
+            make((1, bad))
 
     def test_shared_x_splits_increasing_blocks(self):
         # vertical pair can never lie in one increasing set

@@ -26,6 +26,10 @@ from altiset.relation import Universe
 from conftest import random_field
 
 
+def float_array(values):
+    return np.array(values, dtype=np.float64)
+
+
 def definitional(altitudes, nearness) -> frozenset:
     """Altiset of the union of the altitude (gain) and nearness (price) orders."""
     orders = (KeyedOrder(tuple(altitudes), GAIN), KeyedOrder(tuple(nearness), PRICE))
@@ -93,37 +97,51 @@ class TestExactTies:
         alts = [h for _, h in events]
         assert record_events(times, alts) == definitional(alts, times)
 
+    @pytest.mark.parametrize("form", [list, float_array], ids=["lists", "arrays"])
     @pytest.mark.parametrize("summits,altitudes,ref", [
         ([(0.0, math.nan)], [1.0], (0.0, 0.0)),
         ([(0.0, 0.0)], [math.inf], (0.0, 0.0)),
         ([(0.0, 0.0)], [1.0], (-math.inf, 0.0)),
     ])
-    def test_non_finite_field_is_rejected(self, summits, altitudes, ref):
+    def test_non_finite_field_is_rejected(self, summits, altitudes, ref, form):
         with pytest.raises(NonFiniteError):
-            SummitField(EUCLIDEAN_2D, summits, altitudes, ref)
+            SummitField(EUCLIDEAN_2D, form(summits), form(altitudes), ref)
         with pytest.raises(NonFiniteError):
-            SummitField(REAL_LINE, [s[1] for s in summits], altitudes, ref[0])
+            SummitField(REAL_LINE, form([s[1] for s in summits]), form(altitudes), ref[0])
 
-    def test_overflowing_distance_is_rejected(self):
+    @pytest.mark.parametrize("form", [list, float_array], ids=["lists", "arrays"])
+    def test_overflowing_distance_is_rejected(self, form):
         # the squared distances would both be inf, a false tie
         # the error names the first summit whose distance overflows
         summits = [(1.0, 0.0), (1e200, 0.0), (2e200, 0.0)]
         with pytest.raises(NonFiniteError, match="to it must be finite, got distance inf for summit 1$"):
-            SummitField(EUCLIDEAN_2D, summits, [1.0, 1.0, 1.0], (0.0, 0.0))
+            SummitField(EUCLIDEAN_2D, form(summits), form([1.0, 1.0, 1.0]), (0.0, 0.0))
         with pytest.raises(NonFiniteError, match="to it must be finite, got distance inf for summit 0$"):
-            line_field([1e308], [1.0], ref=-1e308)
+            line_field(form([1e308]), form([1.0]), ref=-1e308)
 
-    def test_adopt_keeps_the_arrays(self):
+    def test_constructor_copies_the_arrays(self):
         coords, heights = np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([3.0, 4.0])
-        field = SummitField.adopt(EUCLIDEAN_2D, coords, heights, (0, 0))
-        assert field.coords is coords and not coords.flags.writeable
+        field = SummitField(EUCLIDEAN_2D, coords, heights, (0, 0))
+        coords[1], heights[1] = (5.0, 5.0), 9.0  # the caller's arrays stay writable
+        assert not (field.coords.flags.writeable or field.heights.flags.writeable)
         assert field.summits == ((0.0, 0.0), (1.0, 2.0)) and field.altitudes == (3.0, 4.0)
         assert field == SummitField(EUCLIDEAN_2D, [(0, 0), (1, 2)], [3, 4], (0, 0))
         assert hash(field) == hash(SummitField(EUCLIDEAN_2D, [(0, 0), (1, 2)], [3, 4], (0, 0)))
-        with pytest.raises(DimensionError, match="do not fit real-line"):
-            SummitField.adopt(REAL_LINE, coords, heights, 0.0)
-        with pytest.raises(DimensionError, match="are not float64"):
-            SummitField.adopt(REAL_LINE, heights, np.array([1, 2]), 0.0)
+
+    @pytest.mark.parametrize("space", [EUCLIDEAN_2D, REAL_LINE])
+    @pytest.mark.parametrize("form", [list, float_array], ids=["lists", "arrays"])
+    def test_empty_field(self, space, form):
+        field = SummitField(space, form([]), form([]), (0.0, 0.0) if space == EUCLIDEAN_2D else 0.0)
+        assert len(field) == 0 and field.coords.shape == ((0, 2) if space == EUCLIDEAN_2D else (0,))
+
+    @pytest.mark.parametrize("space,coords,heights,message", [
+        (EUCLIDEAN_2D, np.zeros((2, 3)), np.zeros(2), r"summits of shape \(2, 3\) do not fit euclidean-2d"),
+        (REAL_LINE, np.zeros((2, 2)), np.zeros(2), r"summits of shape \(2, 2\) do not fit real-line"),
+        (REAL_LINE, np.zeros(2), np.zeros((2, 1)), r"altitudes of shape \(2, 1\) are not one per summit"),
+    ], ids=["plane-summits-n-by-3", "line-summits-n-by-2", "altitudes-2d"])
+    def test_wrong_shape_is_a_dimension_error(self, space, coords, heights, message):
+        with pytest.raises(DimensionError, match=message):
+            SummitField(space, coords, heights, (0.0, 0.0) if space == EUCLIDEAN_2D else 0.0)
 
     def test_nan_event_is_rejected(self):
         with pytest.raises(NonFiniteError):

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,16 @@ PUBLIC = [
 
 # the modules that compute; every job also loads cli, datasets and errors
 KERNELS = ("relation", "orders", "layers", "dependence", "collective", "geoalt", "domains")
+
+# a job of each subcommand on its fixture, and the kernel modules it runs
+FIXTURE_JOBS = pytest.mark.parametrize("argv,runs", [
+    (["altiset", "--relation", "cycle3.json"], ("relation",)),
+    (["layers", "--relation", "chain3.json"], ("relation", "layers")),
+    (["correlate", "points_increasing.csv"], ("orders", "dependence")),
+    (["collective", "family.json"], ("orders", "collective")),
+    (["skyline", "summits.csv", "--ref", "0,0", "--method", "oracle"], ("orders", "geoalt")),
+    (["evolve", "evolve.csv", "--grid", "16x16"], ("domains",)),
+], ids=["altiset", "layers", "correlate", "collective", "skyline", "evolve"])
 
 
 def load_perfbench(name):
@@ -95,14 +106,7 @@ class TestExports:
         "print(' '.join(sorted(sys.modules)))\n"
     )
 
-    @pytest.mark.parametrize("argv,runs", [
-        (["altiset", "--relation", "cycle3.json"], ("relation",)),
-        (["layers", "--relation", "chain3.json"], ("relation", "layers")),
-        (["correlate", "points_increasing.csv"], ("orders", "dependence")),
-        (["collective", "family.json"], ("orders", "collective")),
-        (["skyline", "summits.csv", "--ref", "0,0", "--method", "oracle"], ("orders", "geoalt")),
-        (["evolve", "evolve.csv", "--grid", "16x16"], ("domains",)),
-    ], ids=["altiset", "layers", "correlate", "collective", "skyline", "evolve"])
+    @FIXTURE_JOBS
     def test_cli_job_loads_only_what_it_runs(self, argv, runs):
         out = self.modules_after(self.JOB, "--no-timestamp", *argv, cwd=Path(__file__).parent / "fixtures")
         assert {m for m in KERNELS if f"altiset.{m}" in out} == set(runs)
@@ -112,6 +116,17 @@ class TestExports:
         # take np.loadtxt, so no job loads csv
         assert ("altiset.relstream" in out) == ("relation" in runs)
         assert "csv" not in out and "_csv" not in out
+
+    @FIXTURE_JOBS
+    def test_readme_counts_the_lines_a_job_loads(self, argv, runs):
+        out = self.modules_after(self.JOB, "--no-timestamp", *argv, cwd=Path(__file__).parent / "fixtures")
+        package = Path(altiset.__file__).parent
+        files = [package / f"{m.partition('.')[2] or '__init__'}.py" for m in out
+                 if m.partition(".")[0] == "altiset"]
+        lines = sum(f.read_bytes().count(b"\n") for f in files)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = dict(re.findall(r"^\| `(\w+)` \| ([\d,]+) \|$", readme, re.M))
+        assert int(table[argv[0]].replace(",", "")) == lines, f"{argv[0]} loads {lines:,} lines"
 
     def test_quoted_cell_takes_the_csv_fallback(self, tmp_path):
         path = tmp_path / "quoted.csv"
