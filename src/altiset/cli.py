@@ -222,17 +222,15 @@ def _run_evolve(args, text):
 
     inflate = DEFAULT_INFLATE if args.inflate is None else args.inflate
     rows = datasets._read_array(text, 3, ("x", "y", "h"))
-    summits = rows[:, :2].tolist()
+    nx = ny = DEFAULT_RESOLUTION
     if args.grid:
         try:
             nx, ny = (int(v) for v in args.grid.lower().split("x"))
         except ValueError as exc:
             raise ParseError(f"bad grid spec {args.grid!r}; expected WxH") from exc
-    else:
-        nx = ny = DEFAULT_RESOLUTION
-    grid = GridMeasure.around(summits, inflate=inflate, nx=nx, ny=ny)
+    grid = GridMeasure.around(rows[:, :2], inflate=inflate, nx=nx, ny=ny)
     try:
-        trace = evolve(summits, rows[:, 2], grid, max_steps=args.max_steps)
+        trace = evolve(rows[:, :2], rows[:, 2], grid, max_steps=args.max_steps)
     except MemoryError as exc:
         raise ParseError(f"grid {grid.nx}x{grid.ny} is too large to hold in memory") from exc
     settings = {

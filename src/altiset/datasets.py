@@ -141,8 +141,11 @@ def _csv_rows(text: str):
         for row in reader:
             if any(c.strip() for c in row):
                 yield reader.line_num, row
-    except csv.Error as exc:  # a carriage return inside a row, or a cell past the size limit
-        raise ParseError(f"line {reader.line_num}: {exc}") from exc
+    except csv.Error as exc:  # csv's own words vary across Python versions
+        fault = (f"a cell longer than {csv.field_size_limit()} characters" if "limit" in str(exc)
+                 else "a NUL character" if "NUL" in str(exc)  # Python 3.10 only
+                 else "a carriage return inside a row")
+        raise ParseError(f"line {reader.line_num}: {fault}") from exc
 
 
 def _read_numeric_csv(text: str, columns: int, names: Sequence[str]) -> np.ndarray:

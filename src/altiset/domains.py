@@ -3,14 +3,13 @@
 The abstract measure is realized as a fixed deterministic grid of cell
 centers: measures are exact multiples of the cell area, so the valuation
 evolution has a finite image and its fixed point is detected by exact
-equality.  Every domain function compares per-cell minima of the
-summit-to-cell squared distances, and `_nearest` computes each minimum
-one summit's row at a time, so every function holds O(cells), never a
-(summits, cells) matrix.  A summit's significance domain compares its
-own distance with the minima over the higher summits and over the others
-of its height.  `evolve` runs each step as one pass of running minima
-over the summits in descending valuation order: O(n·cells) per step,
-not the O(n²·cells) of calling `voronoi_mu` once per summit.
+equality.  Every function takes its summits through `_check_field`, as
+one (n, 2) float64 array, and compares per-cell minima of the
+summit-to-cell squared distances; `_nearest` computes each minimum one
+summit's row at a time, so no function holds a (summits, cells) matrix.
+`evolve` runs each step as one pass of running minima over the summits
+in descending valuation order: O(n·cells) per step, not the O(n²·cells)
+of calling `voronoi_mu` once per summit.
 """
 
 from __future__ import annotations
@@ -75,12 +74,12 @@ class GridMeasure:
     ) -> "GridMeasure":
         """Bounding box of the points inflated per side; degenerate spans
         get a unit pad so single points still produce a box."""
-        if len(points) == 0:
+        xy, _ = _check_field(points)
+        if len(xy) == 0:
             raise GridError("cannot build a grid around zero points")
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
+        # argmin and argmax pick the first of tied values, as min and max do with 0.0 and -0.0
+        xmin, ymin = xy[xy.argmin(axis=0), (0, 1)].tolist()
+        xmax, ymax = xy[xy.argmax(axis=0), (0, 1)].tolist()
         spanx = (xmax - xmin) or 1.0
         spany = (ymax - ymin) or 1.0
         return cls(
@@ -93,43 +92,48 @@ class GridMeasure:
         )
 
 
-def _nearest(gx: np.ndarray, gy: np.ndarray, summits, members) -> np.ndarray:
+def _nearest(gx: np.ndarray, gy: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Least squared distance `(gx - x)**2 + (gy - y)**2` from each cell
-    center to the summits in `members`, inf where there are none.  Each
-    summit's row is computed in place and folded into one running minimum,
-    so the call holds three rows whatever the number of members, and a
-    float minimum is one of its inputs, so comparisons with it are exact."""
+    center to the (k, 2) points, inf where there are none.  Each point's
+    row is computed in place and folded into one running minimum, so the
+    call holds three rows whatever k is, and a float minimum is one of its
+    inputs, so comparisons with it are exact."""
     least, row, dy = np.full(gx.size, np.inf), np.empty(gx.size), np.empty(gx.size)
-    for b in members:
-        x, y = summits[b]
+    for x, y in points.tolist():
         np.square(np.subtract(gx, x, out=row), out=row)
         row += np.square(np.subtract(gy, y, out=dy), out=dy)
         np.minimum(least, row, out=least)
     return least
 
 
-def _check_field(summits, indices=(), heights=None, name: str = "altitudes") -> np.ndarray:
-    """The domain functions' one input check: each of `indices` names a
-    summit, `heights` (called `name` in errors) holds one finite value per summit,
-    and the summit coordinates are finite.  The descending sort of heights
+def _check_field(summits, indices=(), heights=None, name: str = "altitudes"):
+    """The summits as one (n, 2) float64 array of finite coordinates and
+    `heights` (called `name` in errors) as one finite float64 per summit;
+    each of `indices` must name a summit.  The descending sort of heights
     needs a total order, and the running minima need NaN-free distances
-    (the grid's finite diagonal rules out NaN centers).  Returns the heights
-    as float64."""
+    (the grid's finite diagonal rules out NaN centers)."""
+    try:
+        xy = np.array(summits, dtype=np.float64)
+    except ValueError as exc:  # rows of unequal lengths
+        raise DimensionError("summits do not form an (n, 2) array") from exc
+    if xy.shape == (0,):
+        xy = xy.reshape(0, 2)
+    if xy.shape[1:] != (2,):
+        raise DimensionError(f"summits of shape {xy.shape} are not (n, 2)")
     for index in indices:
-        if not 0 <= index < len(summits):
+        if not 0 <= index < len(xy):
             raise IndexError(f"summit index {index} out of range")
-    if heights is not None and len(heights) != len(summits):
+    if heights is not None and len(heights) != len(xy):
         raise DimensionError(f"{name} length does not match summits")
-    h = np.array(() if heights is None else heights, dtype=float)
-    for x, v in enumerate(h.tolist()):
-        if not math.isfinite(v):
-            raise NonFiniteError(f"{name} must be finite, got {v} for summit {x}")
-    for x, s in enumerate(summits):
-        if not all(map(math.isfinite, s)):
-            raise NonFiniteError(
-                f"summit coordinates must be finite, got ({', '.join(map(str, s))}) for summit {x}"
-            )
-    return h
+    h = np.array(() if heights is None else heights, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(h))
+    if bad.size:
+        raise NonFiniteError(f"{name} must be finite, got {h[bad[0]].item()} for summit {bad[0]}")
+    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+    if bad.size:
+        s = tuple(xy[bad[0]].tolist())
+        raise NonFiniteError(f"summit coordinates must be finite, got {s} for summit {bad[0]}")
+    return xy, h
 
 
 def inverse_altiset_member(
@@ -145,8 +149,8 @@ def inverse_altiset_member(
     """
     from .geoalt import EUCLIDEAN_2D, SummitField, geo_altiset_oracle
 
-    _check_field(summits, [a], altitudes)
-    return a in geo_altiset_oracle(SummitField(EUCLIDEAN_2D, summits, altitudes, x))
+    xy, h = _check_field(summits, [a], altitudes)
+    return a in geo_altiset_oracle(SummitField(EUCLIDEAN_2D, xy, h, x))
 
 
 def inverse_altiset_mask(
@@ -158,11 +162,11 @@ def inverse_altiset_mask(
     """Boolean mask over grid cells whose reference point keeps a significant:
     its squared distance is below that of every higher summit and no more
     than that of every other summit of its height."""
-    h = _check_field(summits, [a], altitudes)
+    xy, h = _check_field(summits, [a], altitudes)
     gx, gy = grid.centers()
-    mine = _nearest(gx, gy, summits, [a])
-    higher = _nearest(gx, gy, summits, np.flatnonzero(h > h[a]))
-    level = _nearest(gx, gy, summits, [b for b in np.flatnonzero(h == h[a]) if b != a])
+    mine = _nearest(gx, gy, xy[a : a + 1])
+    higher = _nearest(gx, gy, xy[h > h[a]])
+    level = _nearest(gx, gy, xy[(h == h[a]) & (np.arange(len(h)) != a)])
     return (mine < higher) & (mine <= level)
 
 
@@ -184,13 +188,12 @@ def voronoi_mu(
 ) -> float:
     """Measure of the region weakly closer to summit x than to every
     competitor outside the excluded set (ties count for both sides)."""
-    _check_field(summits, [x, *excluded])
-    excluded = frozenset(excluded)
+    xy, _ = _check_field(summits, [x, *excluded])
     if x in excluded:
         raise AltisetError(f"summit {x} must not be in the excluded set")
     gx, gy = grid.centers()
-    rivals = [b for b in range(len(summits)) if b != x and b not in excluded]
-    ok = _nearest(gx, gy, summits, [x]) <= _nearest(gx, gy, summits, rivals)
+    rivals = ~np.isin(np.arange(len(xy)), [x, *excluded])
+    ok = _nearest(gx, gy, xy[x : x + 1]) <= _nearest(gx, gy, xy[rivals])
     return grid.cell_area * int(np.count_nonzero(ok))
 
 
@@ -207,8 +210,8 @@ class ValuationTrace:
 
 
 def _evolve_step(
-    gx: np.ndarray, gy: np.ndarray, summits, h: np.ndarray, cell_area: float
-) -> tuple[float, ...]:
+    gx: np.ndarray, gy: np.ndarray, xy: np.ndarray, h: np.ndarray, cell_area: float
+) -> np.ndarray:
     """h'(x) = voronoi_mu(x, {y: h(y) < h(x)}) for every summit x at once.
 
     x counts a cell when its squared distance is <= that of every y != x
@@ -222,17 +225,17 @@ def _evolve_step(
     ranked = h[order]
     groups = np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
     running = np.full(gx.size, np.inf)
-    nxt = [0.0] * len(h)
+    counts = np.zeros(len(h), dtype=np.int64)
     for group in groups:
-        least = _nearest(gx, gy, summits, group)
+        least = _nearest(gx, gy, xy[group])
         np.minimum(running, least, out=running)
         if group.size == 1:  # the group's row is its one summit's own
-            nxt[group[0]] = cell_area * int(np.count_nonzero(least <= running))
+            counts[group] = np.count_nonzero(least <= running)
             continue
         del least  # one row at a time
-        for x in group:
-            nxt[x] = cell_area * int(np.count_nonzero(_nearest(gx, gy, summits, [x]) <= running))
-    return tuple(nxt)
+        for x in group.tolist():
+            counts[x] = np.count_nonzero(_nearest(gx, gy, xy[x : x + 1]) <= running)
+    return cell_area * counts
 
 
 def evolve(
@@ -252,13 +255,13 @@ def evolve(
     """
     if max_steps < 1:
         raise DimensionError(f"max_steps must be >= 1, got {max_steps}")
-    current = tuple(_check_field(summits, heights=h0, name="initial valuation").tolist())
+    xy, current = _check_field(summits, heights=h0, name="initial valuation")
     gx, gy = grid.centers()
-    trace = [current]
+    trace = [tuple(current.tolist())]
     for _ in range(max_steps):
-        nxt = _evolve_step(gx, gy, summits, np.array(current), grid.cell_area)
-        trace.append(nxt)
-        if nxt == current:
+        nxt = _evolve_step(gx, gy, xy, current, grid.cell_area)
+        trace.append(tuple(nxt.tolist()))
+        if np.array_equal(nxt, current):
             return ValuationTrace(tuple(trace), len(trace) - 2)
         current = nxt
     raise AltisetError(f"valuation evolution did not stop within {max_steps} steps")

@@ -5,9 +5,9 @@ this module.  emit/parse round-trip to identical values.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+
+import numpy as np
 
 from .collective import SubsetFamily
 from .datasets import _is_finite_number, _is_int, _load_json
@@ -60,23 +60,18 @@ def emit_order_system(system: OrderSystem) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _csv(header: str, rows: np.ndarray) -> str:
+    """The header, then each row's floats by repr, which holds no comma or quote."""
+    return "".join([header + "\n", *(",".join(map(repr, row)) + "\n" for row in rows.tolist())])
+
+
 def emit_points_csv(points: PointSet2D) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x", "y"])
-    for x, y in points.points:
-        writer.writerow([repr(x), repr(y)])
-    return out.getvalue()
+    return _csv("x,y", points.xy)
 
 
 def emit_summits_csv(field: SummitField) -> str:
-    planar = field.space == EUCLIDEAN_2D
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x", "y", "h"] if planar else ["x", "h"])
-    for s, h in zip(field.summits, field.altitudes):
-        writer.writerow(map(repr, (*s, h) if planar else (s, h)))
-    return out.getvalue()
+    header = "x,y,h" if field.space == EUCLIDEAN_2D else "x,h"
+    return _csv(header, np.column_stack([field.coords, field.heights]))
 
 
 def emit_family(family: SubsetFamily) -> str:

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from altiset import datasets, emit, relstream
 from altiset.errors import AltisetError, ParseError
-from altiset.geoalt import EUCLIDEAN_2D, REAL_LINE, geo_altiset_oracle
+from altiset.dependence import PointSet2D
+from altiset.geoalt import EUCLIDEAN_2D, REAL_LINE, SummitField, geo_altiset_oracle
 from altiset.relation import FiniteRelation, Universe
 from conftest import peak_bytes
 
@@ -595,6 +596,10 @@ class TestPointsCsv:
         points = datasets.parse_points_csv(read("points_mixed.csv"))
         assert datasets.parse_points_csv(emit.emit_points_csv(points)) == points
 
+    def test_emitted_text(self):
+        points = PointSet2D([(0.5, -0.0), (1e150, 5e-324), (-3.0, 2.0)])
+        assert emit.emit_points_csv(points) == "x,y\n0.5,-0.0\n1e+150,5e-324\n-3.0,2.0\n"
+
     def test_non_numeric_cell_names_line(self):
         with pytest.raises(ParseError, match="line 3"):
             datasets.parse_points_csv(read("bad_cell.csv"))
@@ -629,6 +634,14 @@ class TestSummitsCsv:
             emit.emit_summits_csv(field), field.reference
         )
         assert again == field
+
+    @pytest.mark.parametrize("field,text", [
+        (SummitField(EUCLIDEAN_2D, [(0.1, -0.0), (2.0, 3.5)], [7.0, -1e-300], (0.0, 0.0)),
+         "x,y,h\n0.1,-0.0,7.0\n2.0,3.5,-1e-300\n"),
+        (SummitField(REAL_LINE, [-2.5, 1e100], [3.0, 0.0], 0.0), "x,h\n-2.5,3.0\n1e+100,0.0\n"),
+    ], ids=["plane", "line"])
+    def test_emitted_text(self, field, text):
+        assert emit.emit_summits_csv(field) == text
 
     def test_blank_cells_do_not_set_the_width(self):
         # a row of empty cells is skipped by the reader, so it cannot pick the space

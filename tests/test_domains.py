@@ -46,6 +46,7 @@ def assert_matches_oracle(summits, h0, g):
     expected = evolve_oracle(summits, h0, g)
     assert trace.valuations == expected.valuations
     assert trace.stop_index == expected.stop_index
+    assert evolve(np.array(summits), np.array(h0), g) == trace  # the array form
 
 
 def random_field(rng):
@@ -115,6 +116,13 @@ class TestGridMeasure:
         with pytest.raises(GridError, match="zero points"):
             GridMeasure.around(points)
 
+    @pytest.mark.parametrize("points,bad", [([(1.0, 1.0), (math.nan, 0.0)], 1),
+                                            ([(math.nan, 0.0), (1.0, 1.0)], 0)])
+    def test_around_non_finite_point_is_rejected_in_any_order(self, points, bad):
+        # Python's min and max skip a NaN that follows a number, and keep a leading one
+        with pytest.raises(NonFiniteError, match=rf"got \(nan, 0.0\) for summit {bad}$"):
+            GridMeasure.around(points)
+
     def test_centers_are_deterministic(self):
         g = grid(n=4)
         gx1, gy1 = g.centers()
@@ -176,6 +184,7 @@ class TestInverseAltiset:
                 level = sq[(h == h[a]) & (np.arange(len(h)) != a)].min(axis=0, initial=np.inf)
                 expected = (sq[a] < higher) & (sq[a] <= level)
                 assert np.array_equal(inverse_altiset_mask(summits, alts, a, g), expected)
+                assert np.array_equal(inverse_altiset_mask(np.array(summits), h, a, g), expected)
 
     @pytest.mark.parametrize("alts", [[1.0], [1.0, 2.0, 3.0]])
     def test_altitudes_must_match_summits(self, alts):
@@ -246,8 +255,9 @@ class TestVoronoiMu:
             for x in range(len(summits)):
                 excluded = [b for b in range(len(summits)) if b != x and rng.random() < 0.4]
                 others = [b for b in range(len(summits)) if b != x and b not in excluded]
-                expected = np.all(sq[others] >= sq[x], axis=0)
-                assert voronoi_mu(x, excluded, summits, g) == g.cell_area * int(expected.sum())
+                expected = g.cell_area * int(np.all(sq[others] >= sq[x], axis=0).sum())
+                assert voronoi_mu(x, excluded, summits, g) == expected
+                assert voronoi_mu(x, np.array(excluded, dtype=int), np.array(summits), g) == expected
 
     def test_peaks_at_a_few_rows(self, rng):
         summits = random_summits(rng, 36, span=20)
@@ -345,11 +355,28 @@ class TestInputChecks:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("summit,coordinate", [(0, 1), (1, 0)])
-    def test_non_finite_coordinate(self, kernel, bad, summit, coordinate):
+    @pytest.mark.parametrize("form", [list, np.array])
+    def test_non_finite_coordinate(self, kernel, bad, summit, coordinate, form):
         summits = [[0.0, 0.0], [1.0, 0.0]]
         summits[summit][coordinate] = bad
         with pytest.raises(NonFiniteError, match=f"coordinates must be finite, got .* for summit {summit}$"):
-            self.KERNELS[kernel](summits, [1.0, 2.0], 0)
+            self.KERNELS[kernel](form(summits), [1.0, 2.0], 0)
+
+    @pytest.mark.parametrize("summits,message", [
+        ([(0, 0, 5), (1, 1, 9)], r"summits of shape \(2, 3\) are not \(n, 2\)"),
+        (np.zeros((2, 1, 2)), r"summits of shape \(2, 1, 2\) are not \(n, 2\)"),
+        ([0.0, 1.0], r"summits of shape \(2,\) are not \(n, 2\)"),
+        ([(0, 0), (1, 1, 3)], r"summits do not form an \(n, 2\) array"),
+    ], ids=["three-columns", "three-axes", "flat", "ragged"])
+    @pytest.mark.parametrize("kernel", [*KERNELS, "around", "evolve"])
+    def test_summits_must_be_an_n_by_2_array(self, kernel, summits, message):
+        run = {
+            **{k: lambda f=f: f(summits, [1.0, 2.0], 0) for k, f in self.KERNELS.items()},
+            "around": lambda: GridMeasure.around(summits),
+            "evolve": lambda: evolve(summits, [1.0, 2.0], grid()),
+        }[kernel]
+        with pytest.raises(DimensionError, match=message):
+            run()
 
     @pytest.mark.parametrize("kernel", ["mask", "member"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
