@@ -14,23 +14,17 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InjectivityError, NonFiniteError
+from .errors import DegenerateInputError, InjectivityError, finite_array
 from .orders import pareto_layers
 
 
 class PointSet2D:
     """Finite planar points, no two equal, held as one read-only (n, 2)
-    float64 array `xy`, a copy of the sequence or array the constructor is
-    given; `points` builds them as tuples of floats."""
+    float64 array `xy`, the `finite_array` copy of the sequence or array
+    the constructor is given; `points` builds them as tuples of floats."""
 
     def __init__(self, points):
-        xy = np.array(points, dtype=np.float64)
-        if not xy.size:
-            xy = xy.reshape(0, 2)
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise DimensionError(f"points of shape {xy.shape} are not an (n, 2) array")
-        if not np.isfinite(xy).all():
-            raise NonFiniteError("point coordinates must be finite")
+        xy = finite_array(points, "points", 2)
         # equal points are adjacent once sorted; lexsort is stable, so a pair's rows ascend
         order = np.lexsort((xy[:, 1], xy[:, 0]))
         ranked = xy[order]
@@ -41,7 +35,6 @@ class PointSet2D:
             raise InjectivityError(
                 f"duplicate points are not allowed: rows {a} and {b} are both {point}"
             )
-        xy.setflags(write=False)
         self.xy = xy
 
     @property

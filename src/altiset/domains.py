@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AltisetError, DimensionError, GridError, NonFiniteError
+from .errors import AltisetError, DimensionError, GridError, finite_array
 
 DEFAULT_RESOLUTION = 128
 DEFAULT_INFLATE = 0.25
@@ -107,32 +107,17 @@ def _nearest(gx: np.ndarray, gy: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _check_field(summits, indices=(), heights=None, name: str = "altitudes"):
-    """The summits as one (n, 2) float64 array of finite coordinates and
-    `heights` (called `name` in errors) as one finite float64 per summit;
-    each of `indices` must name a summit.  The descending sort of heights
-    needs a total order, and the running minima need NaN-free distances
-    (the grid's finite diagonal rules out NaN centers)."""
-    try:
-        xy = np.array(summits, dtype=np.float64)
-    except ValueError as exc:  # rows of unequal lengths
-        raise DimensionError("summits do not form an (n, 2) array") from exc
-    if xy.shape == (0,):
-        xy = xy.reshape(0, 2)
-    if xy.shape[1:] != (2,):
-        raise DimensionError(f"summits of shape {xy.shape} are not (n, 2)")
+    """The summits as one (n, 2) `finite_array` and `heights` (called `name`
+    in errors) as one per summit: the sort of heights needs a total order,
+    the running minima NaN-free distances (the grid's finite diagonal rules
+    out NaN centers).  Each of `indices` must name a summit."""
+    xy = finite_array(summits, "summits", 2)
     for index in indices:
         if not 0 <= index < len(xy):
             raise IndexError(f"summit index {index} out of range")
-    if heights is not None and len(heights) != len(xy):
+    h = finite_array(() if heights is None else heights, name)
+    if heights is not None and len(h) != len(xy):
         raise DimensionError(f"{name} length does not match summits")
-    h = np.array(() if heights is None else heights, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(h))
-    if bad.size:
-        raise NonFiniteError(f"{name} must be finite, got {h[bad[0]].item()} for summit {bad[0]}")
-    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
-    if bad.size:
-        s = tuple(xy[bad[0]].tolist())
-        raise NonFiniteError(f"summit coordinates must be finite, got {s} for summit {bad[0]}")
     return xy, h
 
 

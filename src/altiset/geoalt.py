@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, SpaceKindError
+from .errors import DimensionError, NonFiniteError, SpaceKindError, finite_array
 from .orders import maxima, pareto_layers
 
 EUCLIDEAN_2D = "euclidean-2d"
@@ -30,43 +30,29 @@ class SummitField:
     """Finite summits with altitudes in a metric space, plus a reference.
 
     The summits are held as one read-only float64 array `coords`, (n, 2) in
-    the plane and (n,) on the line, and the altitudes as `heights`, copies
-    of the sequences or arrays the constructor is given; `summits` and
-    `altitudes` build them as tuples of floats."""
+    the plane and (n,) on the line, and the altitudes as `heights`, the
+    `finite_array` copies of the sequences or arrays the constructor is
+    given; the reference is one point of the space, checked the same way.
+    `summits` and `altitudes` build them as tuples of floats."""
 
     def __init__(self, space: str, summits, altitudes, reference):
         planar = _check_space(space) == EUCLIDEAN_2D
-        coords = np.array(summits, dtype=np.float64)
-        heights = np.array(altitudes, dtype=np.float64)
-        if planar and not coords.size:
-            coords = coords.reshape(0, 2)
-        if coords.ndim != 1 + planar or coords.shape[1:] != (2,) * planar:
-            raise DimensionError(f"summits of shape {coords.shape} do not fit {space}")
-        if heights.ndim != 1:
-            raise DimensionError(f"altitudes of shape {heights.shape} are not one per summit")
+        coords = finite_array(summits, "summits", 2 * planar)
+        heights = finite_array(altitudes, "altitudes")
+        ref = finite_array([reference], "reference", 2 * planar)[0].tolist()
         if planar:
-            ref = (float(reference[0]), float(reference[1]))
-        else:
-            ref = float(reference)
-            if space == REAL_LINE_LEFT and (coords > ref).any():
-                raise SpaceKindError("left-restricted space requires summits <= reference")
+            ref = tuple(ref)
+        elif space == REAL_LINE_LEFT and (coords > ref).any():
+            raise SpaceKindError("left-restricted space requires summits <= reference")
         if len(heights) != len(coords):
             raise DimensionError(f"{len(heights)} altitudes for {len(coords)} summits")
-        coords.setflags(write=False)
-        heights.setflags(write=False)
         self.space, self.coords, self.heights, self.reference = space, coords, heights, ref
-        if not np.isfinite(np.append(heights, ref)).all():
-            raise NonFiniteError("altitudes, the reference and the distances to it must be finite")
         # maxima sorts on these values, so they need a total order; a distance
         # that overflows to inf would tie its summits
-        with np.errstate(over="ignore", invalid="ignore"):
-            nearness = self.distance_keys()
-        far = np.flatnonzero(~np.isfinite(nearness))
+        with np.errstate(over="ignore"):
+            far = np.flatnonzero(np.isinf(self.distance_keys()))
         if far.size:
-            raise NonFiniteError(
-                "altitudes, the reference and the distances to it must be finite, "
-                f"got distance {nearness[far[0]]} for summit {far[0]}"
-            )
+            raise NonFiniteError(f"distances to the reference must be finite, got inf in row {far[0]}")
 
     @property
     def summits(self) -> tuple:
@@ -149,10 +135,10 @@ def skyline_recursive(field: SummitField, block_size: int) -> frozenset[int]:
 def record_events(times: Sequence[float], altitudes: Sequence[float]) -> frozenset[int]:
     """Events that were records at their time: no earlier-or-simultaneous
     event is at least as high with time or altitude strict."""
-    if len(times) != len(altitudes):
-        raise DimensionError(f"{len(times)} times for {len(altitudes)} altitudes")
-    keys = np.column_stack([np.array(altitudes, dtype=float), -np.array(times, dtype=float)])
-    return frozenset(np.flatnonzero(maxima(keys)).tolist())
+    t, h = finite_array(times, "times"), finite_array(altitudes, "altitudes")
+    if len(t) != len(h):
+        raise DimensionError(f"{len(t)} times for {len(h)} altitudes")
+    return frozenset(np.flatnonzero(maxima(np.column_stack([h, -t]))).tolist())
 
 
 def record_events_field(field: SummitField) -> frozenset[int]:

@@ -19,7 +19,6 @@ calls the order-system functions that do, so `KeyedOrder.relation`,
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -38,10 +37,14 @@ _BLOCK = 256
 
 
 def _key_matrix(keys, name: str, two: bool = False) -> np.ndarray:
-    """keys as an (n, k) array, k = 2 where `two` is set; DimensionError otherwise."""
-    keys = np.asarray(keys)
+    """keys as an (n, k) array of their own dtype, so integer and object keys
+    stay exact, k = 2 where `two` is set; DimensionError otherwise."""
+    needs = "two key columns" if two else "an (n, k) array of keys"
+    try:
+        keys = np.asarray(keys)
+    except ValueError:  # rows of unequal length
+        raise DimensionError(f"{name} needs {needs}, got rows of unequal length") from None
     if keys.ndim != 2 or (two and keys.shape[1] != 2):
-        needs = "two key columns" if two else "an (n, k) array of keys"
         raise DimensionError(f"{name} needs {needs}, got shape {keys.shape}")
     return keys
 
@@ -141,7 +144,7 @@ class KeyedOrder:
         if self.direction not in (GAIN, PRICE):
             raise DimensionError(f"direction must be gain|price, got {self.direction!r}")
         # NaN would break the order; maxima sorts the keys
-        bad = [v for v in self.keys if isinstance(v, float) and not math.isfinite(v)]
+        bad = [v for v in self.keys if isinstance(v, (float, np.floating)) and not np.isfinite(v)]
         if bad:
             raise NonFiniteError(f"keys must be finite, got {bad[0]}")
 

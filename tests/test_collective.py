@@ -242,6 +242,10 @@ class TestValuedGroundSet:
         with pytest.raises(NonFiniteError):
             ValuedGroundSet(("a", "b"), {"a": 1.0, "b": bad})
 
+    def test_missing_valuation(self):
+        with pytest.raises(DimensionError, match=r"^valuation missing for \['b'\]$"):
+            ValuedGroundSet(("a", "b"), {"a": 1.0})
+
     def test_integer_beyond_float_range(self):
         with pytest.raises(NonFiniteError, match="valuation of 'a' must be finite"):
             ValuedGroundSet(("a",), {"a": 10**400})

@@ -444,6 +444,14 @@ class TestOrderSystemFormat:
         with pytest.raises(ParseError, match="entries"):
             emit.parse_order_system('{"size": 2, "orders": [{"keys": [1]}]}')
 
+    @pytest.mark.parametrize("orders,message", [
+        ("[]", r'^"orders" must be a nonempty list$'),
+        ("[[1]]", r'^"orders"\[0\] must be an object$'),
+    ])
+    def test_malformed_orders(self, orders, message):
+        with pytest.raises(ParseError, match=message):
+            emit.parse_order_system(f'{{"size": 1, "orders": {orders}}}')
+
     def test_boolean_size_is_not_an_integer(self):
         with pytest.raises(ParseError, match='"size"'):
             emit.parse_order_system('{"size": true, "orders": [{"keys": [1]}]}')
@@ -694,3 +702,5 @@ class TestFamilyFormat:
     def test_missing_valuation(self):
         with pytest.raises(ParseError, match="missing"):
             datasets.parse_family('{"elements": ["a"], "h": {}, "family": [["a"]]}')
+        with pytest.raises(ParseError, match='^"h" must be an object mapping element -> number$'):
+            datasets.parse_family('{"elements": ["a"], "h": [1], "family": [["a"]]}')

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -78,8 +79,19 @@ class TestIndices:
 
     @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 1)])
     def test_wrong_shape_is_a_dimension_error(self, shape):
-        with pytest.raises(DimensionError, match=r"are not an \(n, 2\) array"):
+        got = re.escape(str(shape))
+        with pytest.raises(DimensionError, match=rf"points must be an \(n, 2\) array, got shape {got}$"):
             PointSet2D(np.zeros(shape))
+
+    def test_ragged_rows_are_a_dimension_error(self):
+        # a cell float() rejects is not a shape fault, and keeps float()'s own error
+        with pytest.raises(DimensionError, match=r"points must be an \(n, 2\) array, got rows of unequal length$"):
+            PointSet2D([(0, 0), (1, 1, 3)])
+        with pytest.raises(DimensionError, match="got rows of unequal length$"):  # not even as objects
+            PointSet2D([np.zeros((2, 2)), np.zeros((2, 3))])
+        with pytest.raises(ValueError, match="could not convert string to float: 'x'") as caught:
+            PointSet2D([(0, 0), (1, "x")])
+        assert not isinstance(caught.value, DimensionError)
 
     @pytest.mark.parametrize("value", [
         2**53 + 1, 2**64 + 3, Decimal("0.1"), Fraction(1, 3), " 2 ", "1_000", "\u0661", True,
@@ -91,9 +103,9 @@ class TestIndices:
     @pytest.mark.parametrize("make", [pts, pts_array], ids=["tuples", "array"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, bad, make):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match=rf"points must be finite, got \({bad}, 2\.0\) in row 1$"):
             make((1, 1), (bad, 2))
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match=rf"points must be finite, got \(1\.0, {bad}\) in row 0$"):
             make((1, bad))
 
     def test_shared_x_splits_increasing_blocks(self):
@@ -149,6 +161,8 @@ class TestEpsilon:
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(DegenerateInputError):
             epsilon(pts((1, 1)))
+        with pytest.raises(DegenerateInputError, match="point set is empty$"):
+            increasingness_index(pts())
 
     def test_negating_x_negates_epsilon(self, rng):
         for _ in range(50):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ class TestGridMeasure:
                                             ([(math.nan, 0.0), (1.0, 1.0)], 0)])
     def test_around_non_finite_point_is_rejected_in_any_order(self, points, bad):
         # Python's min and max skip a NaN that follows a number, and keep a leading one
-        with pytest.raises(NonFiniteError, match=rf"got \(nan, 0.0\) for summit {bad}$"):
+        with pytest.raises(NonFiniteError, match=rf"summits must be finite, got \(nan, 0\.0\) in row {bad}$"):
             GridMeasure.around(points)
 
     def test_centers_are_deterministic(self):
@@ -328,12 +329,12 @@ class TestEvolve:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_valuation_rejected(self, bad):
-        with pytest.raises(NonFiniteError, match="initial valuation"):
+        with pytest.raises(NonFiniteError, match=rf"initial valuation must be finite, got {bad} in row 1$"):
             evolve([(0.0, 0.0), (1.0, 0.0)], [1.0, bad], grid())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_summit_rejected(self, bad):
-        with pytest.raises(NonFiniteError, match="coordinates"):
+        with pytest.raises(NonFiniteError, match=rf"summits must be finite, got \({bad}, 0\.0\) in row 1$"):
             evolve([(0.0, 0.0), (bad, 0.0)], [1.0, 2.0], grid())
 
 
@@ -359,14 +360,15 @@ class TestInputChecks:
     def test_non_finite_coordinate(self, kernel, bad, summit, coordinate, form):
         summits = [[0.0, 0.0], [1.0, 0.0]]
         summits[summit][coordinate] = bad
-        with pytest.raises(NonFiniteError, match=f"coordinates must be finite, got .* for summit {summit}$"):
+        got = re.escape(str(tuple(summits[summit])))
+        with pytest.raises(NonFiniteError, match=rf"summits must be finite, got {got} in row {summit}$"):
             self.KERNELS[kernel](form(summits), [1.0, 2.0], 0)
 
     @pytest.mark.parametrize("summits,message", [
-        ([(0, 0, 5), (1, 1, 9)], r"summits of shape \(2, 3\) are not \(n, 2\)"),
-        (np.zeros((2, 1, 2)), r"summits of shape \(2, 1, 2\) are not \(n, 2\)"),
-        ([0.0, 1.0], r"summits of shape \(2,\) are not \(n, 2\)"),
-        ([(0, 0), (1, 1, 3)], r"summits do not form an \(n, 2\) array"),
+        ([(0, 0, 5), (1, 1, 9)], r"summits must be an \(n, 2\) array, got shape \(2, 3\)$"),
+        (np.zeros((2, 1, 2)), r"summits must be an \(n, 2\) array, got shape \(2, 1, 2\)$"),
+        ([0.0, 1.0], r"summits must be an \(n, 2\) array, got shape \(2,\)$"),
+        ([(0, 0), (1, 1, 3)], r"summits must be an \(n, 2\) array, got rows of unequal length$"),
     ], ids=["three-columns", "three-axes", "flat", "ragged"])
     @pytest.mark.parametrize("kernel", [*KERNELS, "around", "evolve"])
     def test_summits_must_be_an_n_by_2_array(self, kernel, summits, message):
@@ -381,8 +383,14 @@ class TestInputChecks:
     @pytest.mark.parametrize("kernel", ["mask", "member"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_altitude(self, kernel, bad):
-        with pytest.raises(NonFiniteError, match="altitudes must be finite"):
+        with pytest.raises(NonFiniteError, match=rf"altitudes must be finite, got {bad} in row 1$"):
             self.KERNELS[kernel]([(0.0, 0.0), (1.0, 0.0)], [1.0, bad], 0)
+
+    @pytest.mark.parametrize("x,shape", [("00", r"\(1,\)"), ((0, 0, 5), r"\(1, 3\)"), ((5,), r"\(1, 1\)")],
+                             ids=["string", "three-coordinates", "one-coordinate"])
+    def test_reference_must_be_one_planar_point(self, x, shape):
+        with pytest.raises(DimensionError, match=rf"reference must be an \(n, 2\) array, got shape {shape}$"):
+            inverse_altiset_member([(0.0, 0.0), (1.0, 0.0)], [1.0, 2.0], 0, x)
 
 
 class TestEvolveMatchesOracle:

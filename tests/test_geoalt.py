@@ -114,9 +114,9 @@ class TestExactTies:
         # the squared distances would both be inf, a false tie
         # the error names the first summit whose distance overflows
         summits = [(1.0, 0.0), (1e200, 0.0), (2e200, 0.0)]
-        with pytest.raises(NonFiniteError, match="to it must be finite, got distance inf for summit 1$"):
+        with pytest.raises(NonFiniteError, match="distances to the reference must be finite, got inf in row 1$"):
             SummitField(EUCLIDEAN_2D, form(summits), form([1.0, 1.0, 1.0]), (0.0, 0.0))
-        with pytest.raises(NonFiniteError, match="to it must be finite, got distance inf for summit 0$"):
+        with pytest.raises(NonFiniteError, match="distances to the reference must be finite, got inf in row 0$"):
             line_field(form([1e308]), form([1.0]), ref=-1e308)
 
     def test_constructor_copies_the_arrays(self):
@@ -135,17 +135,46 @@ class TestExactTies:
         assert len(field) == 0 and field.coords.shape == ((0, 2) if space == EUCLIDEAN_2D else (0,))
 
     @pytest.mark.parametrize("space,coords,heights,message", [
-        (EUCLIDEAN_2D, np.zeros((2, 3)), np.zeros(2), r"summits of shape \(2, 3\) do not fit euclidean-2d"),
-        (REAL_LINE, np.zeros((2, 2)), np.zeros(2), r"summits of shape \(2, 2\) do not fit real-line"),
-        (REAL_LINE, np.zeros(2), np.zeros((2, 1)), r"altitudes of shape \(2, 1\) are not one per summit"),
-    ], ids=["plane-summits-n-by-3", "line-summits-n-by-2", "altitudes-2d"])
+        (EUCLIDEAN_2D, np.zeros((2, 3)), np.zeros(2), r"summits must be an \(n, 2\) array, got shape \(2, 3\)$"),
+        (REAL_LINE, np.zeros((2, 2)), np.zeros(2), r"summits must be an \(n,\) array, got shape \(2, 2\)$"),
+        (REAL_LINE, np.zeros(2), np.zeros((2, 1)), r"altitudes must be an \(n,\) array, got shape \(2, 1\)$"),
+        (EUCLIDEAN_2D, [(0, 0), (1, 1, 3)], np.zeros(2),
+         r"summits must be an \(n, 2\) array, got rows of unequal length$"),
+        (EUCLIDEAN_2D, np.zeros((2, 2)), np.zeros(3), r"3 altitudes for 2 summits$"),
+    ], ids=["plane-summits-n-by-3", "line-summits-n-by-2", "altitudes-2d", "plane-summits-ragged",
+            "three-altitudes-for-two-summits"])
     def test_wrong_shape_is_a_dimension_error(self, space, coords, heights, message):
         with pytest.raises(DimensionError, match=message):
             SummitField(space, coords, heights, (0.0, 0.0) if space == EUCLIDEAN_2D else 0.0)
 
+    @pytest.mark.parametrize("space,ref,message", [
+        (EUCLIDEAN_2D, "00", r"\(n, 2\) array, got shape \(1,\)$"),
+        (EUCLIDEAN_2D, (0, 0, 5), r"\(n, 2\) array, got shape \(1, 3\)$"),
+        (EUCLIDEAN_2D, (5,), r"\(n, 2\) array, got shape \(1, 1\)$"),
+        (REAL_LINE, (0, 0), r"\(n,\) array, got shape \(1, 2\)$"),
+    ], ids=["plane-string", "plane-three-coordinates", "plane-one-coordinate", "line-pair"])
+    def test_reference_is_one_point_of_the_space(self, space, ref, message):
+        summits = [(0.0, 0.0)] if space == EUCLIDEAN_2D else [0.0]
+        with pytest.raises(DimensionError, match="reference must be an " + message):
+            SummitField(space, summits, [1.0], ref)
+
+    def test_unknown_space_kind(self):
+        with pytest.raises(SpaceKindError, match="unknown space kind 'sphere'$"):
+            SummitField("sphere", [0.0], [1.0], 0.0)
+
     def test_nan_event_is_rejected(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match="times must be finite, got nan in row 1$"):
             record_events([1.0, math.nan], [1.0, 2.0])
+
+    @pytest.mark.parametrize("times,altitudes,error,message", [
+        ([1.0, 2.0], [math.inf, 2.0], NonFiniteError, r"altitudes must be finite, got inf in row 0$"),
+        ([[1, 2], [3, 4]], [1, 2], DimensionError, r"times must be an \(n,\) array, got shape \(2, 2\)$"),
+        ([1, [2, 3]], [1, 2], DimensionError, r"times must be an \(n,\) array, got rows of unequal length$"),
+        ([1, 2, 3], [1, 2], DimensionError, r"3 times for 2 altitudes$"),
+    ], ids=["infinite-altitude", "2-d-times", "ragged-times", "three-times-for-two-altitudes"])
+    def test_bad_events_are_rejected(self, times, altitudes, error, message):
+        with pytest.raises(error, match=message):
+            record_events(times, altitudes)
 
 
 def line_field(positions, altitudes, ref=0.0):

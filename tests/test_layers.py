@@ -505,6 +505,8 @@ class TestChainsMatchOperatorFolds:
             eval_chain(["x"], CHAIN3)
         with pytest.raises(DimensionError, match="unknown operator 'x'"):
             chain_coloring([UPPER, "x", UPPER], CHAIN3)
+        with pytest.raises(DimensionError, match="^chain term must be nonempty$"):
+            eval_chain([], CHAIN3)
 
     def test_no_peeling_on_an_order(self, rng, monkeypatch):
         # chains and colorings come from the layer indices alone: no

@@ -75,7 +75,7 @@ class TestMaxima:
     def test_degenerate_shapes(self, shape, expected):
         assert maxima(np.zeros(shape)).tolist() == expected
 
-    @pytest.mark.parametrize("keys", [[1, 2, 3], [[[1]]], [], 5])
+    @pytest.mark.parametrize("keys", [[1, 2, 3], [[[1]]], [], 5, [(0, 0), (1, 1, 3)]])
     def test_needs_a_key_matrix(self, keys):
         with pytest.raises(DimensionError, match=r"maxima needs an \(n, k\) array"):
             maxima(keys)
@@ -89,6 +89,12 @@ class TestMaxima:
         # neither dominates the other, but a NaN leaves the sort no total order
         with pytest.raises(NonFiniteError):
             kernel(np.array([[1, math.nan], [0, 0]], dtype=object))
+
+    @pytest.mark.parametrize("kernel", [maxima, pareto_layers], ids=["maxima", "pareto_layers"])
+    def test_ragged_rows_are_a_dimension_error(self, kernel):
+        # numpy < 1.24 holds ragged rows as one 1-D object array, the wrong shape
+        with pytest.raises(DimensionError, match=r"got (rows of unequal length|shape \(2,\))$"):
+            kernel([(0, 0), (1, 1, 3)])
 
     @pytest.mark.parametrize("n,orders,span", [
         (300, 3, 20),   # tie-heavy, few maxima
@@ -232,6 +238,23 @@ class TestKeyedOrder:
     def test_non_finite_float_key(self, bad):
         with pytest.raises(NonFiniteError):
             KeyedOrder((1.0, bad))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numpy_float_key(self, dtype, bad):
+        # a NaN key of any float type leaves maxima no total order
+        keys = np.array([1, bad, 2], dtype=dtype)
+        with pytest.raises(NonFiniteError, match=rf"keys must be finite, got {bad}$"):
+            OrderSystem(Universe(3), (KeyedOrder(keys),))
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: KeyedOrder((1, 2), "up"), r"direction must be gain\|price, got 'up'$"),
+        (lambda: OrderSystem(Universe(2), ()), "an OrderSystem needs at least one order$"),
+        (lambda: OrderSystem(Universe(3), (KeyedOrder((1, 2)),)), "2 keys for universe of size 3$"),
+    ], ids=["direction", "no-orders", "key-count"])
+    def test_malformed_order_or_system(self, build, message):
+        with pytest.raises(DimensionError, match=message):
+            build()
 
     def test_integer_and_string_keys_are_accepted(self):
         big = 10**400  # beyond float range, still exact as a Python int

@@ -32,6 +32,17 @@ class TestInduce:
         with pytest.raises(DimensionError):
             FiniteRelation.induce(Universe(3), [1, 2])
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Universe(-1), r"^universe size must be >= 0, got -1$"),
+        (lambda: FiniteRelation(Universe(2), np.zeros((3, 3))),
+         r"^adjacency shape \(3, 3\) does not match universe size 2$"),
+        (lambda: FiniteRelation.adopt(Universe(2), np.zeros((2, 2), dtype=np.int8)),
+         r"^adjacency int8 \(2, 2\) is not a bool matrix of universe size 2$"),
+    ], ids=["negative-size", "constructor-shape", "adopt-dtype"])
+    def test_malformed_universe_or_matrix(self, build, message):
+        with pytest.raises(DimensionError, match=message):
+            build()
+
     def test_matches_pairwise_definition(self, rng):
         for _ in range(200):
             n = rng.randint(0, 9)
