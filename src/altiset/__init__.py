@@ -22,7 +22,6 @@ _EXPORTS = {
     "geoalt": ("SummitField", "geo_altiset_oracle", "record_events", "skyline_circular",
                "skyline_contour", "skyline_recursive"),
     "layers": ("LayerDecomposition", "chain_coloring", "eval_chain", "upper_layers"),
-    "oracles": ("rh_dominates",),
     "orders": ("KeyedOrder", "OrderSystem", "altiset_of_system", "decompose_altiset", "quotient"),
     "relation": ("FiniteRelation", "Universe", "union"),
 }

@@ -50,7 +50,7 @@ def _finite(v) -> bool:
     """A number within the float range, and not NaN or an infinity."""
     try:
         return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
+    except (OverflowError, ValueError):  # an integer beyond the float range, or Decimal('sNaN')
         return False
 
 

@@ -29,14 +29,6 @@ class CyclicRelationError(AltisetError):
         super().__init__(f"asymmetric interior contains a cycle: {pretty}")
 
 
-class NotAStrictOrderError(AltisetError):
-    """Operation requires an irreflexive, asymmetric, transitive relation."""
-
-
-class OracleSizeError(AltisetError):
-    """Instance exceeds the size cap of an exact oracle."""
-
-
 class NonFiniteError(AltisetError):
     """A value that must be a finite number is NaN or infinite."""
 

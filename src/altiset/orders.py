@@ -19,6 +19,7 @@ calls the order-system functions that do, so `KeyedOrder.relation`,
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -143,8 +144,12 @@ class KeyedOrder:
         object.__setattr__(self, "keys", tuple(self.keys))
         if self.direction not in (GAIN, PRICE):
             raise DimensionError(f"direction must be gain|price, got {self.direction!r}")
-        # NaN would break the order; maxima sorts the keys
-        bad = [v for v in self.keys if isinstance(v, (float, np.floating)) and not np.isfinite(v)]
+        # NaN would break the order; maxima sorts the keys.  decimal is looked
+        # up, not imported: a Decimal key can exist only once it is loaded
+        decimal = sys.modules.get("decimal")
+        bad = [v for v in self.keys
+               if (isinstance(v, (float, np.floating)) and not np.isfinite(v))
+               or (decimal is not None and isinstance(v, decimal.Decimal) and not v.is_finite())]
         if bad:
             raise NonFiniteError(f"keys must be finite, got {bad[0]}")
 

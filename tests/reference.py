@@ -11,12 +11,20 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .collective import SubsetFamily, ValuedGroundSet, threshold_profile
-from .dependence import PointSet2D
-from .errors import DegenerateInputError, DimensionError, NotAStrictOrderError, OracleSizeError
-from .layers import LOWER, UPPER
-from .orders import OrderSystem
-from .relation import FiniteRelation, _levels, union
+from altiset.collective import SubsetFamily, ValuedGroundSet, threshold_profile
+from altiset.dependence import PointSet2D
+from altiset.errors import AltisetError, DegenerateInputError, DimensionError
+from altiset.layers import LOWER, UPPER
+from altiset.orders import OrderSystem
+from altiset.relation import FiniteRelation, _levels, union
+
+
+class NotAStrictOrderError(AltisetError):
+    """Operation requires an irreflexive, asymmetric, transitive relation."""
+
+
+class OracleSizeError(AltisetError):
+    """Instance exceeds the size cap of an exact oracle."""
 
 
 def altiset_bruteforce(rel: FiniteRelation, subset: Optional[Iterable[int]] = None) -> frozenset[int]:

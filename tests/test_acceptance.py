@@ -39,7 +39,11 @@ from altiset.layers import (
     eval_chain,
     upper_layers,
 )
-from altiset.oracles import (
+from altiset.orders import altiset_of_system, decompose_altiset
+from altiset.relation import FiniteRelation, Universe, union
+
+from conftest import random_aa_relation, random_family, random_field, random_relation, random_system
+from reference import (
     altiset_bruteforce,
     apply_operator,
     chromatic_number_oracle,
@@ -48,10 +52,6 @@ from altiset.oracles import (
     minimal_increasing_cover_bruteforce,
     system_union,
 )
-from altiset.orders import altiset_of_system, decompose_altiset
-from altiset.relation import FiniteRelation, Universe, union
-
-from conftest import random_aa_relation, random_family, random_field, random_relation, random_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"

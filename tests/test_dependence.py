@@ -17,8 +17,9 @@ from altiset.dependence import (
 )
 from altiset.errors import DegenerateInputError, DimensionError, InjectivityError, NonFiniteError
 from altiset.layers import upper_layers
-from altiset.oracles import is_increasing_set, minimal_increasing_cover_bruteforce
 from altiset.relation import FiniteRelation, Universe, union
+
+from reference import is_increasing_set, minimal_increasing_cover_bruteforce
 
 
 def pts(*pairs):

@@ -435,3 +435,26 @@ class TestEvolveMatchesOracle:
         summits = tuple((float(x), float(y)) for x, y, _ in rows)
         h0 = [float(h) for _, _, h in rows]
         assert_matches_oracle(summits, h0, GridMeasure.around(summits, nx=shape[0], ny=shape[1]))
+
+
+class TestEvolvePermutation:
+    """Relabelling the summits relabels the evolution: no oracle needed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3)),
+            min_size=1,
+            max_size=16,
+        ).flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(range(len(rows))))),
+        st.tuples(st.integers(1, 32), st.integers(1, 32)),
+    )
+    def test_permuting_summits_permutes_valuations(self, drawn, shape):
+        rows, perm = drawn
+        summits = [(float(x), float(y)) for x, y, _ in rows]
+        h0 = [float(h) for _, _, h in rows]
+        g = GridMeasure.around(summits, nx=shape[0], ny=shape[1])
+        trace = evolve(summits, h0, g)
+        moved = evolve([summits[i] for i in perm], [h0[i] for i in perm], g)
+        assert moved.stop_index == trace.stop_index
+        assert moved.valuations == tuple(tuple(h[i] for i in perm) for h in trace.valuations)

@@ -19,11 +19,11 @@ from altiset.geoalt import (
     skyline_recursive,
 )
 
-from altiset.oracles import altiset_bruteforce, system_union
 from altiset.orders import GAIN, PRICE, KeyedOrder, OrderSystem
 from altiset.relation import Universe
 
 from conftest import random_field
+from reference import altiset_bruteforce, system_union
 
 
 def float_array(values):

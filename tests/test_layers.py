@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altiset.errors import (
-    CyclicRelationError,
-    DimensionError,
-    NotAStrictOrderError,
-    OracleSizeError,
-)
-from altiset import oracles
+from altiset.errors import CyclicRelationError, DimensionError
 from altiset.layers import (
     LOWER,
     UPPER,
@@ -18,11 +12,12 @@ from altiset.layers import (
     eval_chain,
     upper_layers,
 )
-from altiset.oracles import apply_operator, chromatic_number_oracle, longest_chain
 from altiset import relation
 from altiset.relation import FiniteRelation, Universe
 
 from conftest import aa_matrix, peak_bytes, random_aa_relation, random_relation
+import reference
+from reference import NotAStrictOrderError, OracleSizeError, apply_operator, chromatic_number_oracle, longest_chain
 
 
 def rel(size, pairs):
@@ -239,8 +234,8 @@ class TestAcrossBlockEdges:
                     lower, _ = peel_by_operator(LOWER, r)
                     d = upper_layers(r)
                     assert (d.upper_index, d.lower_index) == (upper, lower)
-                assert r.altiset() == oracles.altiset_bruteforce(r)
-                assert r.altiset(subset) == oracles.altiset_bruteforce(r, subset)
+                assert r.altiset() == reference.altiset_bruteforce(r)
+                assert r.altiset(subset) == reference.altiset_bruteforce(r, subset)
 
 
 def peel_levels(strict):
@@ -516,7 +511,7 @@ class TestChainsMatchOperatorFolds:
 
         monkeypatch.setattr(FiniteRelation, "altiset", forbidden)
         monkeypatch.setattr(FiniteRelation, "find_asym_cycle", forbidden)
-        monkeypatch.setattr(oracles, "apply_operator", forbidden)
+        monkeypatch.setattr(reference, "apply_operator", forbidden)
         n = 600
         r = FiniteRelation.induce(Universe(n), list(range(n)))
         term = [rng.choice([UPPER, LOWER]) for _ in range(n)]

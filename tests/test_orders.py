@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,10 +23,10 @@ from altiset.orders import (
     pareto_layers,
     quotient,
 )
-from altiset.oracles import altiset_bruteforce, check_form_equivalences, system_union
 from altiset.relation import FiniteRelation, Universe, _levels, union
 
 from conftest import peak_bytes, random_system
+from reference import altiset_bruteforce, check_form_equivalences, system_union
 
 
 def system(size, *orders):
@@ -247,6 +249,12 @@ class TestKeyedOrder:
         with pytest.raises(NonFiniteError, match=rf"keys must be finite, got {bad}$"):
             OrderSystem(Universe(3), (KeyedOrder(keys),))
 
+    @pytest.mark.parametrize("bad", ["NaN", "sNaN", "Infinity"])
+    def test_non_finite_decimal_key(self, bad):
+        # a NaN has no place in the sort, and an infinity is no key value
+        with pytest.raises(NonFiniteError, match=rf"keys must be finite, got {bad}$"):
+            KeyedOrder((Decimal(1), Decimal(bad), Decimal(2)))
+
     @pytest.mark.parametrize("build,message", [
         (lambda: KeyedOrder((1, 2), "up"), r"direction must be gain\|price, got 'up'$"),
         (lambda: OrderSystem(Universe(2), ()), "an OrderSystem needs at least one order$"),
@@ -262,6 +270,8 @@ class TestKeyedOrder:
         assert set(r.pairs()) == {(0, 0), (1, 1), (1, 0)}
         assert altiset_of_system(system(2, ((big, 1), GAIN))) == {0}
         assert altiset_of_system(system(3, (("b", "a", "b"), PRICE))) == {1}
+        assert altiset_of_system(system(3, ((Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)), GAIN))) == {1}
+        assert altiset_of_system(system(2, ((Decimal("1e400"), Decimal(1)), GAIN))) == {0}
 
 
 class TestSystemUnion:

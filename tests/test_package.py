@@ -17,7 +17,7 @@ PUBLIC = [
     "decompose_altiset", "decreasingness_index", "epsilon", "eval_chain", "evolve",
     "geo_altiset_oracle", "increasing_decomposition", "increasingness_index",
     "inverse_altiset_measure", "pairwise_elimination", "quotient", "record_events",
-    "rh_dominates", "skyline_circular", "skyline_contour", "skyline_recursive",
+    "skyline_circular", "skyline_contour", "skyline_recursive",
     "threshold_profile", "union", "upper_layers", "voronoi_mu",
 ]
 
@@ -70,10 +70,19 @@ class TestExports:
         exec("from altiset import *", scope)
         assert sorted(k for k in scope if k != "__builtins__") == sorted(PUBLIC)
 
-    @pytest.mark.parametrize("name", ["no_such_name", "maxima"])
+    @pytest.mark.parametrize("name", ["no_such_name", "maxima", "rh_dominates"])
     def test_unknown_name_raises_attribute_error(self, name):
         with pytest.raises(AttributeError, match=name):
             getattr(altiset, name)
+
+    def test_readme_lists_every_name_under_its_home_module(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = {module: tuple(re.findall(r"`(\w+)`", names))
+                  for module, names in re.findall(r"^- `altiset\.(\w+)`: (.+)$", readme, re.M)}
+        assert listed == altiset._EXPORTS
+
+    def test_package_holds_no_test_reference(self):
+        assert importlib.util.find_spec("altiset.oracles") is None
 
     @staticmethod
     def modules_after(code, *argv, cwd=None):
@@ -87,7 +96,7 @@ class TestExports:
     def test_submodule_import_loads_only_its_dependencies(self):
         for module, absent in [
             ("relation", [f"altiset.{m}" for m in ("orders", "collective", "dependence", "geoalt",
-                                                     "domains", "datasets", "cli", "oracles", "emit",
+                                                     "domains", "datasets", "cli", "emit",
                                                      "relstream")]),
             ("orders", ["altiset.relation"]),  # the Pareto kernel builds no relation
             ("domains", ["altiset.geoalt", "altiset.orders"]),  # evolve takes no reference
@@ -110,7 +119,7 @@ class TestExports:
     def test_cli_job_loads_only_what_it_runs(self, argv, runs):
         out = self.modules_after(self.JOB, "--no-timestamp", *argv, cwd=Path(__file__).parent / "fixtures")
         assert {m for m in KERNELS if f"altiset.{m}" in out} == set(runs)
-        assert "altiset.oracles" not in out and "altiset.emit" not in out
+        assert "altiset.emit" not in out
         assert "_hashlib" not in out  # hashlib loads OpenSSL for its sha256
         # the relation stream is read by relation jobs only; the CSV fixtures
         # take np.loadtxt, so no job loads csv

@@ -5,10 +5,10 @@ import pytest
 
 from altiset.errors import CyclicRelationError, DimensionError, SubsetIndexError
 from altiset.layers import upper_layers
-from altiset.oracles import altiset_bruteforce
 from altiset.relation import FiniteRelation, Universe, union
 
 from conftest import aa_matrix, peak_bytes, random_aa_relation, random_relation
+from reference import altiset_bruteforce
 
 
 def rel(size, pairs):
