@@ -91,9 +91,8 @@ def _parse_subset(spec: Optional[str]) -> Optional[list[int]]:
 
 
 def _parse_ref(spec: str) -> tuple:
-    parts = [p for p in spec.split(",") if p.strip()]
     try:
-        values = [float(p) for p in parts]
+        values = [float(p) for p in spec.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad reference {spec!r}: {exc}") from exc
     if len(values) not in (1, 2):
@@ -196,7 +195,8 @@ def _run_skyline(args, text):
     from . import geoalt
 
     ref = _parse_ref(args.ref)
-    reference = ref if len(ref) == 2 else ref[0]
+    # record events read no distance; from 0 no finite time is an inf distance
+    reference = ref if len(ref) == 2 else 0.0 if args.method == "records" else ref[0]
     space = geoalt.EUCLIDEAN_2D if len(ref) == 2 else geoalt.REAL_LINE
     field = datasets.parse_summits_csv(text, reference, space)
     # read off the module per call, so functions rebound in geoalt are the ones called

@@ -100,25 +100,23 @@ class SubsetFamily:
 
 
 def threshold_profile(member: Iterable, ground: ValuedGroundSet) -> tuple[int, ...]:
-    """Count of member elements valued >= t, for each threshold t descending."""
+    """Count of member elements valued >= t, for each threshold t descending:
+    the `_profiles` row of the one-member family."""
     member = frozenset(member)
     stray = member - set(ground.elements)
     if stray:
         raise SubsetIndexError(f"elements outside X: {sorted(map(str, stray))}")
-    values = sorted((ground.valuation[e] for e in member), reverse=True)
-    profile = []
-    for t in ground.thresholds():
-        profile.append(sum(1 for v in values if v >= t))
-    return tuple(profile)
+    return tuple(_profiles(SubsetFamily(ground, [member]))[0].tolist())
 
 
 def _profiles(family: SubsetFamily) -> np.ndarray:
-    """(members, thresholds) matrix of threshold profiles, `threshold_profile`
-    of every member.  One Python sort ranks the T distinct valuations, so they
-    compare exactly, as Python does: 2**53 + 1 is above 2**53 and
-    float(2**53).  Entry (k, r) of one bincount counts member k's elements of
-    rank r, and its running sum along the row counts those of rank <= r.  An
-    empty ground set gives (members, 0) profiles: everything ties."""
+    """(members, thresholds) matrix of threshold profiles: entry (k, r) counts
+    member k's elements valued >= the r-th threshold, descending.  One Python
+    sort ranks the T distinct valuations, so they compare exactly, as Python
+    does: 2**53 + 1 is above 2**53 and float(2**53).  Entry (k, r) of one
+    bincount counts member k's elements of rank r, and its running sum along
+    the row counts those of rank <= r.  An empty ground set gives (members, 0)
+    profiles: everything ties."""
     ground = family.ground
     rank = {v: r for r, v in enumerate(ground.thresholds())}
     ranks = np.array([rank[ground.valuation[e]] for e in ground.elements], dtype=np.intp)

@@ -121,23 +121,6 @@ def _check_field(summits, indices=(), heights=None, name: str = "altitudes"):
     return xy, h
 
 
-def inverse_altiset_member(
-    summits: Sequence[tuple[float, float]],
-    altitudes: Sequence[float],
-    a: int,
-    x: tuple[float, float],
-) -> bool:
-    """Is summit a significant when the reference point sits at x?
-
-    Read off the skyline of the field referenced at x, so ties follow the
-    same exact squared-distance rule as `inverse_altiset_mask`.
-    """
-    from .geoalt import EUCLIDEAN_2D, SummitField, geo_altiset_oracle
-
-    xy, h = _check_field(summits, [a], altitudes)
-    return a in geo_altiset_oracle(SummitField(EUCLIDEAN_2D, xy, h, x))
-
-
 def inverse_altiset_mask(
     summits: Sequence[tuple[float, float]],
     altitudes: Sequence[float],

@@ -1,8 +1,8 @@
 """Definitional references that the tests check the kernels against.
 
 A reference computes its answer from the definition, by double loops,
-exhaustive search or the dense union relation, and no subcommand runs it,
-so no CLI job imports this module.
+exhaustive search, the dense union relation or the skyline at one point,
+and no subcommand runs it, so no CLI job imports this module.
 """
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from altiset.collective import SubsetFamily, ValuedGroundSet, threshold_profile
+from altiset.collective import SubsetFamily, ValuedGroundSet
 from altiset.dependence import PointSet2D
+from altiset.domains import _check_field
 from altiset.errors import AltisetError, DegenerateInputError, DimensionError
+from altiset.geoalt import EUCLIDEAN_2D, SummitField, geo_altiset_oracle
 from altiset.layers import LOWER, UPPER
 from altiset.orders import OrderSystem
 from altiset.relation import FiniteRelation, _levels, union
@@ -177,10 +179,17 @@ def minimal_increasing_cover_bruteforce(points: PointSet2D, increasing: bool = T
     return best
 
 
+def threshold_profile_bruteforce(member: Iterable, ground: ValuedGroundSet) -> tuple[int, ...]:
+    """Count of member elements valued >= t, for each threshold t descending,
+    one threshold at a time."""
+    values = [ground.valuation[e] for e in frozenset(member)]
+    return tuple(sum(1 for v in values if v >= t) for t in ground.thresholds())
+
+
 def rh_dominates(m: Iterable, n: Iterable, ground: ValuedGroundSet) -> bool:
     """True iff some threshold count of m lies strictly below n's."""
-    pm = threshold_profile(m, ground)
-    pn = threshold_profile(n, ground)
+    pm = threshold_profile_bruteforce(m, ground)
+    pn = threshold_profile_bruteforce(n, ground)
     return any(a < b for a, b in zip(pm, pn))
 
 
@@ -197,6 +206,21 @@ def collective_altiset_bruteforce(family: SubsetFamily) -> frozenset[int]:
         if significant:
             out.add(k)
     return frozenset(out)
+
+
+def inverse_altiset_member(
+    summits: Sequence[tuple[float, float]],
+    altitudes: Sequence[float],
+    a: int,
+    x: tuple[float, float],
+) -> bool:
+    """Is summit a significant when the reference point sits at x?
+
+    Read off the skyline of the field referenced at x, so ties follow the
+    same exact squared-distance rule as `inverse_altiset_mask`.
+    """
+    xy, h = _check_field(summits, [a], altitudes)
+    return a in geo_altiset_oracle(SummitField(EUCLIDEAN_2D, xy, h, x))
 
 
 def system_union(system: OrderSystem) -> FiniteRelation:

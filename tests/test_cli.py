@@ -97,6 +97,29 @@ def test_skyline_records_on_real_line(capsys):
     ]) == EXIT_IO  # 3-column file parses as planar, records need real line
 
 
+@pytest.mark.parametrize("ref", ["0", "1e308", "-1e308"])
+def test_records_ignore_the_reference_value(ref, tmp_path, capsys):
+    # record events read the times, not their distances to --ref, which
+    # would overflow here; meta still echoes --ref
+    path = tmp_path / "events.csv"
+    path.write_text("x,h\n1e308,5\n-1e308,7\n")
+    assert main(["--no-timestamp", "skyline", str(path), f"--ref={ref}", "--method", "records"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == {"altiset": [1], "size": 2}
+    assert doc["meta"]["settings"]["reference"] == [float(ref)]
+
+
+@pytest.mark.parametrize("text,code,message", [
+    ("x,y,h\n0,0,5\n1,1,3\n", EXIT_DOMAIN, "error: record events need a real-line space"),
+    ("x,h\n0,5\n1,3\n", EXIT_IO, "parse error: 2 columns (x,h) do not fit a euclidean-2d space"),
+])
+def test_records_with_a_planar_reference(text, code, message, tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text(text)
+    argv = ["skyline", str(path), "--ref=0,0", "--method", "records"]
+    assert run_main(argv) == (code, "", f"altiset: {message}\n")
+
+
 def skyline_methods():
     """The --method choices of `altiset skyline`, as build_parser lists them."""
     sub = next(a for a in build_parser()._actions if a.dest == "command").choices["skyline"]
@@ -298,6 +321,14 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
     ("x,h\n0,5\n1,3\n", ["skyline", "--ref", "1,x"],
      "bad reference '1,x': could not convert string to float: 'x'"),
     ("x,h\n0,5\n1,3\n", ["skyline", "--ref", "1,2,3"], "reference must be X or X,Y, got '1,2,3'"),
+    ("x,h\n0,5\n1,3\n", ["skyline", "--ref", ",5"],
+     "bad reference ',5': could not convert string to float: ''"),
+    ("x,h\n0,5\n1,3\n", ["skyline", "--ref", "5,"],
+     "bad reference '5,': could not convert string to float: ''"),
+    ("x,y,h\n0,0,5\n1,1,3\n", ["skyline", "--ref", "1,,2"],
+     "bad reference '1,,2': could not convert string to float: ''"),
+    ("x,h\n0,5\n1,3\n", ["skyline", "--ref", " , "],
+     "bad reference ' , ': could not convert string to float: ' '"),
     ("a,b,c,d\n0,0,0,5\n", ["skyline", "--ref", "0"], "expected 2 (x,h) or 3 (x,y,h) columns"),
     ("x,h\n", ["skyline", "--ref", "0"], "no data rows"),
     (PLANE, ["skyline", "--ref", "0", "--method", "records"],
@@ -315,7 +346,8 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
      '"family" must be a nonempty list of element lists'),
     ('{"elements": ["a"], "h": {"a": 1}, "family": [["a"], ["a", "z"]]}', ["collective"],
      "member 1 has element 'z' outside the ground set"),
-], ids=["duplicate-points", "ref-not-a-number", "ref-three-values", "four-columns",
+], ids=["duplicate-points", "ref-not-a-number", "ref-three-values", "ref-empty-first",
+        "ref-empty-last", "ref-empty-middle", "ref-blank", "four-columns",
         "header-only", "plane-on-the-line", "grid-spec", "evolve-empty", "evolve-two-columns",
         "cr-inside-a-row", "cell-past-the-csv-limit", "repeated-elements",
         "elements-not-a-list", "empty-family", "unknown-element"])

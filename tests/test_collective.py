@@ -19,7 +19,7 @@ from altiset.datasets import parse_family
 from altiset.errors import DimensionError, NonFiniteError, SubsetIndexError
 
 from conftest import peak_bytes, random_family
-from reference import collective_altiset_bruteforce, rh_dominates
+from reference import collective_altiset_bruteforce, rh_dominates, threshold_profile_bruteforce
 
 
 def ground(values: dict) -> ValuedGroundSet:
@@ -179,7 +179,8 @@ def families(draw, kind):
 
 
 class TestProfiles:
-    """_profiles in one bincount against threshold_profile per member."""
+    """_profiles in one bincount, and threshold_profile, its row for one
+    member, against the definitional count per member."""
 
     @pytest.mark.parametrize("kind", VALUATIONS)
     def test_rows_are_threshold_profiles(self, kind):
@@ -190,7 +191,8 @@ class TestProfiles:
             built = SubsetFamily(ground, doc["family"])
             # the parser keeps JSON integers exact and drops a repeated name
             parsed = parse_family(json.dumps(doc))
-            expected = [list(threshold_profile(m, ground)) for m in doc["family"]]
+            expected = [list(threshold_profile_bruteforce(m, ground)) for m in doc["family"]]
+            assert [list(threshold_profile(m, ground)) for m in doc["family"]] == expected
             for family in (built, parsed):
                 profiles = _profiles(family)
                 assert profiles.shape == (len(doc["family"]), len(ground.thresholds()))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altiset.dependence import (
     PointSet2D,
@@ -125,6 +126,16 @@ class TestIndices:
             flipped = PointSet2D(tuple((-x, y) for x, y in s.points))
             assert increasingness_index(s) == decreasingness_index(flipped)
             assert decreasingness_index(s) == increasingness_index(flipped)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([60, 2000]))
+    def test_negating_x_swaps_indices_at_scale(self, seed, span):
+        # 3,000 distinct lattice points; on the 60-wide lattice columns tie
+        cells = np.random.default_rng(seed).choice(span * span, 3000, replace=False)
+        xy = np.column_stack(np.divmod(cells, span)).astype(float)
+        s, flipped = PointSet2D(xy), PointSet2D(xy * [-1.0, 1.0])
+        assert increasingness_index(s) == decreasingness_index(flipped)
+        assert decreasingness_index(s) == increasingness_index(flipped)
 
     def test_monotone_transform_invariance(self, rng):
         for _ in range(100):

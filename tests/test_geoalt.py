@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altiset.domains import inverse_altiset_member
 from altiset.errors import DimensionError, NonFiniteError, SpaceKindError
 from altiset.geoalt import (
     EUCLIDEAN_2D,
@@ -23,7 +22,7 @@ from altiset.orders import GAIN, PRICE, KeyedOrder, OrderSystem
 from altiset.relation import Universe
 
 from conftest import random_field
-from reference import altiset_bruteforce, system_union
+from reference import altiset_bruteforce, inverse_altiset_member, system_union
 
 
 def float_array(values):
@@ -266,6 +265,22 @@ class TestRecursive:
             f = random_field(rng, rng.randint(1, 40))
             bs = rng.randint(1, 12)
             assert skyline_recursive(f, bs) == geo_altiset_oracle(f)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.booleans())
+    def test_every_block_size_on_lattice_fields(self, seed, n, steep):
+        # integer lattice summits tie in distance; steep fields rise in altitude
+        # with distance, in steps, so the nearest of each step is on the skyline
+        r, span = np.random.default_rng(seed), max(3, n // 4)
+        xy = r.integers(-span, span + 1, (n, 2)).astype(float)
+        if steep:
+            heights = np.floor((xy**2).sum(axis=1) / span)
+        else:
+            heights = r.integers(0, span + 1, n).astype(float)
+        f = SummitField(EUCLIDEAN_2D, xy, heights, (0.0, 0.0))
+        expected = geo_altiset_oracle(f)
+        for block_size in range(1, n + 2):
+            assert skyline_recursive(f, block_size) == expected
 
     def test_bad_block_size(self, rng):
         with pytest.raises(DimensionError):
