@@ -81,23 +81,13 @@ def _document(command: str, digest: str, settings: dict, result: dict, timestamp
     return json.dumps({"meta": meta, "result": result}, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_subset(spec: Optional[str]) -> Optional[list[int]]:
-    if spec is None:
-        return None
+def _parse_list(spec: str, convert, what: str, sep: str = ",") -> list:
+    """Every `sep`-separated part of a list-valued option, as `convert`
+    reads it, so an empty part is an error; a blank spec is the empty list."""
     try:
-        return [int(s) for s in spec.split(",") if s.strip()]
+        return [convert(p) for p in spec.split(sep)] if spec.strip() else []
     except ValueError as exc:
-        raise ParseError(f"bad subset spec {spec!r}: {exc}") from exc
-
-
-def _parse_ref(spec: str) -> tuple:
-    try:
-        values = [float(p) for p in spec.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad reference {spec!r}: {exc}") from exc
-    if len(values) not in (1, 2):
-        raise ParseError(f"reference must be X or X,Y, got {spec!r}")
-    return tuple(values)
+        raise ParseError(f"bad {what} {spec!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,16 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_altiset(args, rel):
-    subset = _parse_subset(args.subset)
-    try:
-        altiset = rel.altiset(subset)
-    except SubsetIndexError as exc:  # a bad --subset, as is a malformed one
-        raise ParseError(str(exc)) from exc
-    result = {"altiset": sorted(altiset), "size": rel.universe.size}
+    subset = None if args.subset is None else _parse_list(args.subset, int, "subset spec")
+    result = {"altiset": sorted(rel.altiset(subset)), "size": rel.universe.size}
     if rel.universe.labels:
         result["labels"] = [rel.universe.labels[i] for i in result["altiset"]]
-    settings = {"subset": subset}
-    return settings, result
+    return {"subset": subset}, result
 
 
 def _run_layers(args, rel):
@@ -194,7 +179,9 @@ def _run_collective(args, text):
 def _run_skyline(args, text):
     from . import geoalt
 
-    ref = _parse_ref(args.ref)
+    ref = tuple(_parse_list(args.ref, float, "reference"))
+    if len(ref) not in (1, 2):
+        raise ParseError(f"reference must be X or X,Y, got {args.ref!r}")
     # record events read no distance; from 0 no finite time is an inf distance
     reference = ref if len(ref) == 2 else 0.0 if args.method == "records" else ref[0]
     space = geoalt.EUCLIDEAN_2D if len(ref) == 2 else geoalt.REAL_LINE
@@ -222,13 +209,12 @@ def _run_evolve(args, text):
 
     inflate = DEFAULT_INFLATE if args.inflate is None else args.inflate
     rows = datasets._read_array(text, 3, ("x", "y", "h"))
-    nx = ny = DEFAULT_RESOLUTION
+    dims = [DEFAULT_RESOLUTION] * 2
     if args.grid:
-        try:
-            nx, ny = (int(v) for v in args.grid.lower().split("x"))
-        except ValueError as exc:
-            raise ParseError(f"bad grid spec {args.grid!r}; expected WxH") from exc
-    grid = GridMeasure.around(rows[:, :2], inflate=inflate, nx=nx, ny=ny)
+        dims = _parse_list(args.grid.lower(), int, "grid spec", "x")
+    if len(dims) != 2:
+        raise ParseError(f"grid must be WxH, got {args.grid!r}")
+    grid = GridMeasure.around(rows[:, :2], inflate, *dims)
     try:
         trace = evolve(rows[:, :2], rows[:, 2], grid, max_steps=args.max_steps)
     except MemoryError as exc:
@@ -274,7 +260,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         settings, result = runner(args, data)
         with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
             fh.write(_document(args.command, digest, settings, result, not args.no_timestamp))
-    except ParseError as exc:
+    except (ParseError, SubsetIndexError) as exc:  # a bad --subset index is bad input
         print(f"altiset: parse error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

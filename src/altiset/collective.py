@@ -17,7 +17,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, SubsetIndexError
+from .errors import DimensionError, NonFiniteError, SubsetIndexError, index_array
 from .orders import maxima
 
 
@@ -84,6 +84,7 @@ class SubsetFamily:
         return len(self.offsets) - 1
 
     def member(self, k: int) -> frozenset:
+        (k,) = index_array([k], len(self), "member index")
         run = self.index[self.offsets[k] : self.offsets[k + 1]].tolist()
         return frozenset(self.ground.elements[i] for i in run)
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AltisetError, DimensionError, GridError, finite_array
+from .errors import AltisetError, DimensionError, GridError, finite_array, index_array
 
 DEFAULT_RESOLUTION = 128
 DEFAULT_INFLATE = 0.25
@@ -74,7 +74,7 @@ class GridMeasure:
     ) -> "GridMeasure":
         """Bounding box of the points inflated per side; degenerate spans
         get a unit pad so single points still produce a box."""
-        xy, _ = _check_field(points)
+        xy = _check_field(points)[0]
         if len(xy) == 0:
             raise GridError("cannot build a grid around zero points")
         # argmin and argmax pick the first of tied values, as min and max do with 0.0 and -0.0
@@ -107,18 +107,16 @@ def _nearest(gx: np.ndarray, gy: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _check_field(summits, indices=(), heights=None, name: str = "altitudes"):
-    """The summits as one (n, 2) `finite_array` and `heights` (called `name`
-    in errors) as one per summit: the sort of heights needs a total order,
-    the running minima NaN-free distances (the grid's finite diagonal rules
-    out NaN centers).  Each of `indices` must name a summit."""
+    """The summits as one (n, 2) `finite_array`, `indices` as an `index_array`
+    of them, and `heights` (called `name` in errors) as a `finite_array` of
+    one per summit: the sort of heights needs a total order, the running
+    minima NaN-free distances (the grid's finite diagonal rules out NaN centers)."""
     xy = finite_array(summits, "summits", 2)
-    for index in indices:
-        if not 0 <= index < len(xy):
-            raise IndexError(f"summit index {index} out of range")
+    idx = index_array(indices, len(xy), "summit indices")
     h = finite_array(() if heights is None else heights, name)
     if heights is not None and len(h) != len(xy):
         raise DimensionError(f"{name} length does not match summits")
-    return xy, h
+    return xy, idx, h
 
 
 def inverse_altiset_mask(
@@ -130,7 +128,7 @@ def inverse_altiset_mask(
     """Boolean mask over grid cells whose reference point keeps a significant:
     its squared distance is below that of every higher summit and no more
     than that of every other summit of its height."""
-    xy, h = _check_field(summits, [a], altitudes)
+    xy, (a,), h = _check_field(summits, [a], altitudes)
     gx, gy = grid.centers()
     mine = _nearest(gx, gy, xy[a : a + 1])
     higher = _nearest(gx, gy, xy[h > h[a]])
@@ -156,12 +154,12 @@ def voronoi_mu(
 ) -> float:
     """Measure of the region weakly closer to summit x than to every
     competitor outside the excluded set (ties count for both sides)."""
-    xy, _ = _check_field(summits, [x, *excluded])
-    if x in excluded:
-        raise AltisetError(f"summit {x} must not be in the excluded set")
+    xy, idx, _ = _check_field(summits, [x, *excluded])
+    if idx[0] in idx[1:]:
+        raise AltisetError(f"summit {idx[0]} must not be in the excluded set")
     gx, gy = grid.centers()
-    rivals = ~np.isin(np.arange(len(xy)), [x, *excluded])
-    ok = _nearest(gx, gy, xy[x : x + 1]) <= _nearest(gx, gy, xy[rivals])
+    rivals = ~np.isin(np.arange(len(xy)), idx)
+    ok = _nearest(gx, gy, xy[idx[:1]]) <= _nearest(gx, gy, xy[rivals])
     return grid.cell_area * int(np.count_nonzero(ok))
 
 
@@ -223,7 +221,7 @@ def evolve(
     """
     if max_steps < 1:
         raise DimensionError(f"max_steps must be >= 1, got {max_steps}")
-    xy, current = _check_field(summits, heights=h0, name="initial valuation")
+    xy, _, current = _check_field(summits, heights=h0, name="initial valuation")
     gx, gy = grid.centers()
     trace = [tuple(current.tolist())]
     for _ in range(max_steps):

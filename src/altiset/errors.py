@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the one checked float conversion."""
+"""Exception types shared across the toolkit, and the checked float and index conversions."""
 
 
 class AltisetError(Exception):
@@ -10,7 +10,8 @@ class DimensionError(AltisetError):
 
 
 class SubsetIndexError(AltisetError):
-    """A subset refers to indices outside the universe."""
+    """An index is not an integer in range of what it indexes (see
+    `index_array`), or a subset holds an element outside its ground set."""
 
 
 class PartitionError(AltisetError):
@@ -82,3 +83,32 @@ def finite_array(values, name: str, width: int = 0):
         raise NonFiniteError(f"{name} must be finite, got {value} in row {row}")
     a.setflags(write=False)
     return a
+
+
+def index_array(values, size: int, name: str, width: int = 0):
+    """`values` as a new intp array of shape (n,), or (n, width) when a width
+    is given, of integers in range(size) as operator.index reads them: bools
+    as 0 and 1, floats and strings not at all.  The first row that breaks
+    this, one of another width included, raises SubsetIndexError naming it
+    and its value.  numpy loads on the call."""
+    import operator
+    import numpy as np
+
+    rows = values if isinstance(values, np.ndarray) else list(values)
+    shape = (len(rows), width) if width else (len(rows),)
+    try:  # numpy's loops pass the common case; the rule itself runs row by row below
+        a = np.array(rows)
+        if a.dtype.kind in "biu" and a.shape == shape and (not a.size or 0 <= a.min() and a.max() < size):
+            return a.astype(np.intp, copy=False)
+    except (ValueError, Warning):  # rows of unequal length; numpy < 1.24 warns, maybe as an error
+        pass
+    out = []
+    for row, cells in enumerate(rows.tolist() if isinstance(rows, np.ndarray) else rows):
+        try:
+            ints = [operator.index(c) for c in (cells if width else [cells])]
+        except TypeError:  # a float, a string, or a row that is not a sequence
+            ints = []
+        if len(ints) != (width or 1) or not all(0 <= i < size for i in ints):
+            raise SubsetIndexError(f"{name} must be integers in range({size}), got {cells!r} in row {row}")
+        out.append(ints)
+    return np.array(out, dtype=np.intp).reshape(shape)

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, SubsetIndexError
+from .errors import DimensionError, index_array
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,8 @@ class Universe:
                 raise DimensionError("labels must be pairwise distinct")
 
     def check_subset(self, subset: Iterable[int]) -> tuple[int, ...]:
-        """Validate indices and return them sorted ascending, deduplicated."""
-        idx = sorted(set(subset))
-        if idx and (idx[0] < 0 or idx[-1] >= self.size):
-            raise SubsetIndexError(f"subset {idx} out of range for size {self.size}")
-        return tuple(idx)
+        """The subset's `index_array` below size, sorted ascending and deduplicated."""
+        return tuple(np.unique(index_array(subset, self.size, "subset")).tolist())
 
 
 @dataclass(frozen=True)
@@ -72,22 +69,12 @@ class FiniteRelation:
 
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> "FiniteRelation":
-        """Relation holding exactly the given (a, b) index pairs.
-
-        The pairs are checked and scattered as one (m, 2) array; the error
-        names the first out-of-range pair in input order.
-        """
+        """Relation holding exactly the given (a, b) index pairs, checked
+        and scattered as one (m, 2) `index_array`."""
         n = universe.size
+        idx = index_array(pairs, n, "pairs", 2)
         adj = np.zeros((n, n), dtype=bool)
-        if not isinstance(pairs, np.ndarray):
-            pairs = list(pairs)
-        if len(pairs):
-            idx = np.asarray(pairs).reshape(len(pairs), 2)
-            if idx.min() < 0 or idx.max() >= n:  # no (m, 2) temporaries on success
-                bad = ((idx < 0) | (idx >= n)).any(axis=1)
-                a, b = pairs[int(bad.argmax())]
-                raise SubsetIndexError(f"pair ({a},{b}) out of range for size {n}")
-            adj[idx[:, 0], idx[:, 1]] = True
+        adj[idx[:, 0], idx[:, 1]] = True
         return cls.adopt(universe, adj)
 
     @classmethod
@@ -191,11 +178,9 @@ class FiniteRelation:
         members are read `_ROWS` at a time, and each block marks what its
         members dominate, so no copy of the restriction is made.
         """
-        if subset is None:
-            idx = np.arange(self.universe.size)
-        else:
-            idx = np.array(self.universe.check_subset(subset), dtype=int)
-        dominated = np.zeros(self.universe.size, dtype=bool)
+        n = self.universe.size
+        idx = np.arange(n) if subset is None else np.array(self.universe.check_subset(subset), int)
+        dominated = np.zeros(n, dtype=bool)
         for s in range(0, idx.size, _ROWS):
             dominated |= _strict(self.adjacency, idx[s : s + _ROWS]).any(axis=0)
         return frozenset(idx[~dominated[idx]].tolist())
@@ -203,12 +188,11 @@ class FiniteRelation:
     def restrict(self, subset: Iterable[int]) -> tuple["FiniteRelation", tuple[int, ...]]:
         """Relation on a re-indexed sub-universe, plus old-index mapping."""
         idx = self.universe.check_subset(subset)
-        ids = np.array(idx, dtype=int)
         labels = None
         if self.universe.labels is not None:
             labels = tuple(self.universe.labels[i] for i in idx)
         sub_universe = Universe(len(idx), labels)
-        return FiniteRelation.adopt(sub_universe, self.adjacency[np.ix_(ids, ids)]), idx
+        return FiniteRelation.adopt(sub_universe, self.adjacency[np.ix_(idx, idx)]), idx
 
 
 _ROWS = 64  # strict rows built, packed or unpacked at once in _levels and altiset

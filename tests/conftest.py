@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,22 @@ from altiset.collective import SubsetFamily, ValuedGroundSet
 from altiset.geoalt import EUCLIDEAN_2D, SummitField
 from altiset.orders import GAIN, PRICE, KeyedOrder, OrderSystem
 from altiset.relation import FiniteRelation, Universe
+
+# Every warning fails a test in this directory, so a numpy deprecation on
+# another Python or numpy version is a failure, not a line in the summary.
+# libcst, which hypothesis imports to report a failing example, warns of a
+# deprecated mypy_extensions.TypedDict as it loads.  perfbench's tests keep
+# pytest's default handling.
+WARNINGS_FAIL = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning:libcst"
+)
+
+
+def pytest_collection_modifyitems(items):
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:  # first, so a test's own filterwarnings mark overrides it
+            item.add_marker(WARNINGS_FAIL, append=False)
 
 
 def peak_bytes(fn, *args) -> int:

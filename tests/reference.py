@@ -219,7 +219,7 @@ def inverse_altiset_member(
     Read off the skyline of the field referenced at x, so ties follow the
     same exact squared-distance rule as `inverse_altiset_mask`.
     """
-    xy, h = _check_field(summits, [a], altitudes)
+    xy, (a,), h = _check_field(summits, [a], altitudes)
     return a in geo_altiset_oracle(SummitField(EUCLIDEAN_2D, xy, h, x))
 
 

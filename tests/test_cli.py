@@ -302,9 +302,13 @@ def run_main(argv: list) -> tuple[int, str, str]:
 
 
 @pytest.mark.parametrize("spec,message", [
-    (["--subset", "0,5"], "subset [0, 5] out of range for size 3"),
-    (["--subset=-1"], "subset [-1] out of range for size 3"),
+    (["--subset", "0,5"], "subset must be integers in range(3), got 5 in row 1"),
+    (["--subset=-1"], "subset must be integers in range(3), got -1 in row 0"),
     (["--subset", "x"], "bad subset spec 'x': invalid literal for int() with base 10: 'x'"),
+    # every comma-separated part is an index: an empty one is no part to drop
+    (["--subset=0,,2"], "bad subset spec '0,,2': invalid literal for int() with base 10: ''"),
+    (["--subset= , "], "bad subset spec ' , ': invalid literal for int() with base 10: ' '"),
+    (["--subset=0.5,2"], "bad subset spec '0.5,2': invalid literal for int() with base 10: '0.5'"),
 ])
 def test_bad_subset_is_a_parse_error(spec, message):
     # out of range or malformed, a bad --subset value gets the one exit code
@@ -333,7 +337,9 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
     ("x,h\n", ["skyline", "--ref", "0"], "no data rows"),
     (PLANE, ["skyline", "--ref", "0", "--method", "records"],
      "3 columns (x,y,h) do not fit a real-line space"),
-    (PLANE, ["evolve", "--grid", "4by4"], "bad grid spec '4by4'; expected WxH"),
+    (PLANE, ["evolve", "--grid", "4by4"], "bad grid spec '4by4': invalid literal for int() with base 10: '4by4'"),
+    (PLANE, ["evolve", "--grid", "4x"], "bad grid spec '4x': invalid literal for int() with base 10: ''"),
+    (PLANE, ["evolve", "--grid", "4x4x4"], "grid must be WxH, got '4x4x4'"),
     ("", ["evolve"], "no data rows"),
     ("1,2\n3,4\n", ["evolve"], "line 1: expected 3 columns (x, y, h), got 2"),
     ("x,y\n1,2\r3,4\n5,7\n", ["correlate"], "line 2: a carriage return inside a row"),
@@ -348,7 +354,8 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
      "member 1 has element 'z' outside the ground set"),
 ], ids=["duplicate-points", "ref-not-a-number", "ref-three-values", "ref-empty-first",
         "ref-empty-last", "ref-empty-middle", "ref-blank", "four-columns",
-        "header-only", "plane-on-the-line", "grid-spec", "evolve-empty", "evolve-two-columns",
+        "header-only", "plane-on-the-line", "grid-spec", "grid-empty-part", "grid-three-parts",
+        "evolve-empty", "evolve-two-columns",
         "cr-inside-a-row", "cell-past-the-csv-limit", "repeated-elements",
         "elements-not-a-list", "empty-family", "unknown-element"])
 def test_input_errors_are_parse_errors(text, argv, message, tmp_path):
@@ -419,7 +426,7 @@ def test_relation_subcommands_match_the_reference(doc, data, checks, tmp_path):
 
     code, out, err = run_main(["altiset"] + relation + [f"--subset={n}"])
     assert (code, out) == (EXIT_IO, "")  # a subset index out of range is a parse error
-    assert err == f"altiset: parse error: subset [{n}] out of range for size {n}\n"
+    assert err == f"altiset: parse error: subset must be integers in range({n}), got {n} in row 0\n"
 
     if pairs:  # a pair index out of range is a parse error
         k = data.draw(st.integers(0, len(pairs) - 1))

@@ -296,6 +296,22 @@ class TestRelationStream:
         else:
             assert pairs_of(read[1]) == set(map(tuple, pairs))
 
+    @settings(max_examples=2, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_sparse_relation_at_scale(self, seed):
+        # n = 2,000 with a few thousand pairs, repeats included: every slice size reads one matrix
+        rng = np.random.default_rng(seed)
+        n = 2000
+        pairs = rng.integers(0, n, size=(int(rng.integers(2000, 5000)), 2))
+        expected = np.zeros((n, n), dtype=bool)
+        expected[pairs[:, 0], pairs[:, 1]] = True
+        text = json.dumps({"size": n, "pairs": pairs.tolist()})
+        for size in SLICES:
+            with slices(size):
+                doc, adj = stream_read(text)
+            assert doc["size"] == n and np.array_equal(adj, expected)
+        assert np.array_equal(datasets.parse_relation(text).adjacency, expected)
+
     def test_slice_scan_reads_18_digit_indices(self):
         values, last = relstream._scan_slice(b"[[8,10],\t[0,7] ,[123456789012345678,0]]", True)
         assert values.tolist() == [8, 10, 0, 7, 123456789012345678, 0] and last

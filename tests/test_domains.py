@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altiset.errors import AltisetError, DimensionError, GridError, NonFiniteError
+from altiset.errors import AltisetError, DimensionError, GridError, NonFiniteError, SubsetIndexError
 from altiset.domains import (
     GridMeasure,
     ValuationTrace,
@@ -232,9 +232,11 @@ class TestVoronoiMu:
         with pytest.raises(AltisetError):
             voronoi_mu(0, [0], [(0.0, 0.0)], grid())
 
-    @pytest.mark.parametrize("excluded,bad", [([99, -5], 99), ([1, -5], -5), ([2], 2)])
-    def test_excluded_index_out_of_range(self, excluded, bad):
-        with pytest.raises(IndexError, match=f"summit index {bad} out of range"):
+    @pytest.mark.parametrize("excluded,bad,row", [([99, -5], 99, 1), ([1, -5], -5, 2), ([2], 2, 1)])
+    def test_excluded_index_out_of_range(self, excluded, bad, row):
+        # row 0 is x, the excluded summits follow it
+        message = rf"^summit indices must be integers in range\(2\), got {bad} in row {row}$"
+        with pytest.raises(SubsetIndexError, match=message):
             voronoi_mu(0, excluded, [(0.0, 0.0), (1.0, 0.0)], GridMeasure(-1, 2, -1, 1, 3, 2))
 
     def test_monotone_in_excluded_set(self, rng):
@@ -350,7 +352,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("a", [-1, 2])
     def test_summit_index_out_of_range(self, kernel, a):
-        with pytest.raises(IndexError, match=f"summit index {a} out of range"):
+        with pytest.raises(SubsetIndexError, match=rf"^summit indices must be integers in range\(2\), got {a} in row 0$"):
             self.KERNELS[kernel]([(0.0, 0.0), (1.0, 0.0)], [1.0, 2.0], a)
 
     @pytest.mark.parametrize("kernel", KERNELS)

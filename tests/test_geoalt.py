@@ -250,6 +250,24 @@ class TestSweeps:
             assert skyline_circular(f) == expected
             assert skyline_contour(f) == expected
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_strictly_increasing_maps_keep_the_skyline_at_scale(self, seed, rising):
+        # thousands of summits on a 61x61 lattice with integer altitudes, so
+        # both keys tie; rising altitudes put many of them on the skyline
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1000, 4000))
+        xy = rng.integers(-30, 31, size=(n, 2)).astype(float)
+        ref = tuple(rng.integers(-30, 31, size=2).astype(float).tolist())
+        h = rng.integers(0, 40, size=n)
+        if rising:
+            h = np.floor(np.hypot(*(xy - ref).T)).astype(int) + rng.integers(0, 3, size=n)
+        expected = geo_altiset_oracle(SummitField(EUCLIDEAN_2D, xy, h, ref))
+        # altitudes through strictly increasing maps, distances scaled by 4, exactly
+        for heights, scale in [(3 * h - 7, 1.0), (h**3, 1.0), (np.exp(h / 10), 1.0), (h, 4.0)]:
+            f = SummitField(EUCLIDEAN_2D, xy * scale, heights, tuple(c * scale for c in ref))
+            assert geo_altiset_oracle(f) == skyline_circular(f) == skyline_contour(f) == expected
+
 
 class TestRecursive:
     def test_single_block(self, rng):

@@ -426,6 +426,24 @@ class TestAltisetOfSystem:
                 system_union(sys_), subset
             )
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_strictly_increasing_maps_keep_the_altiset_at_scale(self, seed):
+        # thousands of elements with integer keys in range(40), so keys tie
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1000, 4000)), int(rng.integers(1, 4))
+        keys = rng.integers(0, 40, size=(k, n)).tolist()
+        directions = rng.choice([GAIN, PRICE], size=k).tolist()
+        subset = np.flatnonzero(rng.random(n) < 0.5)
+
+        def mapped(f):
+            return system(n, *((tuple(map(f, row)), d) for row, d in zip(keys, directions)))
+
+        expected = altiset_of_system(mapped(int)), altiset_of_system(mapped(int), subset)
+        # 2**70 + v: exact integers that float64 would merge
+        for f in (lambda v: 3 * v - 7, lambda v: v**3, lambda v: v / 7 + 0.5, lambda v: 2**70 + v):
+            assert (altiset_of_system(mapped(f)), altiset_of_system(mapped(f), subset)) == expected
+
     def test_overcharge(self, rng):
         for _ in range(200):
             n = rng.randint(1, 8)
