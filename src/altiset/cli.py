@@ -184,8 +184,7 @@ def _run_skyline(args, text):
         raise ParseError(f"reference must be X or X,Y, got {args.ref!r}")
     # record events read no distance; from 0 no finite time is an inf distance
     reference = ref if len(ref) == 2 else 0.0 if args.method == "records" else ref[0]
-    space = geoalt.EUCLIDEAN_2D if len(ref) == 2 else geoalt.REAL_LINE
-    field = datasets.parse_summits_csv(text, reference, space)
+    field = datasets.parse_summits_csv(text, reference)
     # read off the module per call, so functions rebound in geoalt are the ones called
     routes = {
         "oracle": geoalt.geo_altiset_oracle,

@@ -90,7 +90,9 @@ class SubsetFamily:
 
     @property
     def members(self) -> tuple[frozenset, ...]:
-        return tuple(self.member(k) for k in range(len(self)))
+        names = [self.ground.elements[i] for i in self.index.tolist()]
+        bounds = self.offsets.tolist()
+        return tuple(frozenset(names[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubsetFamily):
@@ -103,10 +105,6 @@ class SubsetFamily:
 def threshold_profile(member: Iterable, ground: ValuedGroundSet) -> tuple[int, ...]:
     """Count of member elements valued >= t, for each threshold t descending:
     the `_profiles` row of the one-member family."""
-    member = frozenset(member)
-    stray = member - set(ground.elements)
-    if stray:
-        raise SubsetIndexError(f"elements outside X: {sorted(map(str, stray))}")
     return tuple(_profiles(SubsetFamily(ground, [member]))[0].tolist())
 
 

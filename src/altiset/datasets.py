@@ -55,10 +55,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_finite_number(v) -> bool:
-    """A JSON number: not a boolean, and not NaN or an infinity (which
-    json.loads reads from NaN, Infinity and -Infinity)."""
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+def _size(doc: dict) -> int:
+    """The document's "size"; a ParseError unless it is a non-negative integer."""
+    size = doc.get("size")
+    if not _is_int(size) or size < 0:
+        raise ParseError('"size" must be a non-negative integer')
+    return size
 
 
 def utf8_text(raw: bytes, name) -> str:
@@ -102,9 +104,7 @@ def parse_relation(source: Union[str, BinaryIO]) -> FiniteRelation:
             fh.seek(start)
             text = utf8_text(fh.read(), getattr(source, "name", "input"))
         doc, adj = _load_json(text), None
-    size = doc.get("size")
-    if not _is_int(size) or size < 0:
-        raise ParseError('"size" must be a non-negative integer')
+    size = _size(doc)
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
@@ -115,7 +115,7 @@ def parse_relation(source: Union[str, BinaryIO]) -> FiniteRelation:
             raise ParseError('"pairs" must be a list of [a, b] index pairs')
         _check_pairs(pairs, size)
     try:
-        universe = Universe(size, tuple(labels) if labels is not None else None)
+        universe = Universe(size, labels)
         if adj is None:
             if size * size > _MAX_CELLS:
                 raise MemoryError
@@ -233,28 +233,26 @@ def parse_points_csv(text: str) -> PointSet2D:
         raise ParseError(str(exc)) from exc
 
 
-def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> SummitField:
-    """Columns x,h (real line) or x,y,h (plane); space inferred from width
-    unless given."""
+def parse_summits_csv(text: str, reference) -> SummitField:
+    """Columns x,y,h in the plane, where the reference is a sequence (a ragged one
+    too, which SummitField rejects), or x,h on the real line, where it is a number."""
+    import numpy as np
+
     from .geoalt import EUCLIDEAN_2D, REAL_LINE, SummitField
 
+    space = EUCLIDEAN_2D if np.ndim(np.array(reference, dtype=object)) else REAL_LINE
     rows = _loaded(text)
-    if rows is not None:
-        width = rows.shape[1]
-    else:
-        width = next((len(row) for _, row in _csv_rows(text)), None)
+    width = next((len(row) for _, row in _csv_rows(text)), None) if rows is None else rows.shape[1]
     if width not in (2, 3):
         raise ParseError("expected 2 (x,h) or 3 (x,y,h) columns")
     planar = width == 3
     names = ("x", "y", "h") if planar else ("x", "h")
-    if space is not None and (space == EUCLIDEAN_2D) != planar:
+    if (space == EUCLIDEAN_2D) != planar:
         raise ParseError(f"{width} columns ({','.join(names)}) do not fit a {space} space")
     if rows is None:
         rows = _read_numeric_csv(text, width, names)
-    kind = EUCLIDEAN_2D if planar else space or REAL_LINE
-    coords = rows[:, :2] if planar else rows[:, 0]
     try:
-        return SummitField(kind, coords, rows[:, -1], reference)
+        return SummitField(space, rows[:, :2] if planar else rows[:, 0], rows[:, -1], reference)
     except AltisetError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -263,7 +261,7 @@ def parse_summits_csv(text: str, reference, space: Optional[str] = None) -> Summ
 
 
 def parse_family(text: str) -> SubsetFamily:
-    from .collective import SubsetFamily, ValuedGroundSet, _finite
+    from .collective import SubsetFamily, ValuedGroundSet
 
     doc = _load_json(text)
     elements = doc.get("elements")
@@ -272,16 +270,14 @@ def parse_family(text: str) -> SubsetFamily:
     h = doc.get("h")
     if not isinstance(h, dict):
         raise ParseError('"h" must be an object mapping element -> number')
-    valuation = {}
-    for e in elements:
-        if e not in h:
-            raise ParseError(f'"h" is missing element {e!r}')
-        if not (_is_finite_number(h[e]) and _finite(h[e])):
-            raise ParseError(f'"h"[{e!r}] must be a finite number')
-        valuation[e] = h[e]  # as json.loads read it: an integer stays exact
+    # as json.loads read them (an integer stays exact); ValuedGroundSet names a missing or non-finite one
+    valuation = {e: h[e] for e in elements if e in h}
+    for e, v in valuation.items():
+        if not (_is_int(v) or isinstance(v, float)):
+            raise ParseError(f'"h"[{e!r}] must be a number')
     family = doc.get("family")
-    if not isinstance(family, list) or not family:
-        raise ParseError('"family" must be a nonempty list of element lists')
+    if not isinstance(family, list):
+        raise ParseError('"family" must be a list of element lists')
     for k, m in enumerate(family):
         if not isinstance(m, list) or not all(isinstance(e, str) for e in m):
             raise ParseError(f'"family"[{k}] must be a list of element names')

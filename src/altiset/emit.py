@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .collective import SubsetFamily
-from .datasets import _is_finite_number, _is_int, _load_json
+from .datasets import _is_int, _load_json, _size
 from .dependence import PointSet2D
 from .errors import ParseError
 from .geoalt import EUCLIDEAN_2D, SummitField
@@ -26,11 +26,15 @@ def emit_relation(rel: FiniteRelation) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _is_finite_number(v) -> bool:
+    """A JSON number: not a boolean, and not NaN or an infinity (which
+    json.loads reads from NaN, Infinity and -Infinity)."""
+    return _is_int(v) or (isinstance(v, float) and bool(np.isfinite(v)))
+
+
 def parse_order_system(text: str) -> OrderSystem:
     doc = _load_json(text)
-    size = doc.get("size")
-    if not _is_int(size) or size < 0:
-        raise ParseError('"size" must be a non-negative integer')
+    size = _size(doc)
     orders = doc.get("orders")
     if not isinstance(orders, list) or not orders:
         raise ParseError('"orders" must be a nonempty list')

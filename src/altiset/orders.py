@@ -199,11 +199,15 @@ def indistinguishability(system: OrderSystem) -> tuple[tuple[int, ...], ...]:
 
     Classes are ordered (and indexed) by their smallest member.
     """
+    return _classes(_ranks(system), range(system.universe.size))
+
+
+def _classes(ranks: np.ndarray, idx: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The ascending positions idx grouped by equal rows of ranks, first position first."""
     groups: dict[tuple, list[int]] = {}
-    for a, sig in enumerate(_ranks(system).tolist()):
+    for a, sig in zip(idx, ranks[list(idx)].tolist()):
         groups.setdefault(tuple(sig), []).append(a)
-    classes = sorted(groups.values(), key=lambda c: c[0])
-    return tuple(tuple(c) for c in classes)
+    return tuple(map(tuple, groups.values()))
 
 
 def quotient(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> QuotientView:
@@ -213,12 +217,10 @@ def quotient(system: OrderSystem, subset: Optional[Iterable[int]] = None) -> Quo
     ranks dominate i's, >= in every column and > in one."""
     from .relation import FiniteRelation, Universe
 
-    classes = indistinguishability(system)
-    if subset is not None:
-        keep = set(system.universe.check_subset(subset))
-        kept = (tuple(a for a in c if a in keep) for c in classes)
-        classes = tuple(sorted((c for c in kept if c), key=lambda c: c[0]))
-    ranks = _ranks(system)[[c[0] for c in classes]]
+    ranks = _ranks(system)
+    idx = range(system.universe.size) if subset is None else system.universe.check_subset(subset)
+    classes = _classes(ranks, idx)
+    ranks = ranks[[c[0] for c in classes]]
     below = _dominated_by(ranks, ranks)
     maximal = frozenset(np.flatnonzero(~below.any(axis=1)).tolist())
     return QuotientView(classes, FiniteRelation.adopt(Universe(len(classes)), below), maximal)

@@ -348,8 +348,9 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
      "ground-set elements must be distinct"),
     ('{"elements": "ab", "h": {"a": 1}, "family": [["a"]]}', ["collective"],
      '"elements" must be a list of strings'),
-    ('{"elements": ["a"], "h": {"a": 1}, "family": []}', ["collective"],
-     '"family" must be a nonempty list of element lists'),
+    ('{"elements": ["a"], "h": {"a": 1}, "family": []}', ["collective"], "family must be nonempty"),
+    ('{"elements": ["a"], "h": {"a": 1}, "family": {}}', ["collective"],
+     '"family" must be a list of element lists'),
     ('{"elements": ["a"], "h": {"a": 1}, "family": [["a"], ["a", "z"]]}', ["collective"],
      "member 1 has element 'z' outside the ground set"),
 ], ids=["duplicate-points", "ref-not-a-number", "ref-three-values", "ref-empty-first",
@@ -357,7 +358,7 @@ PLANE = "x,y,h\n0,0,5\n1,1,3\n"
         "header-only", "plane-on-the-line", "grid-spec", "grid-empty-part", "grid-three-parts",
         "evolve-empty", "evolve-two-columns",
         "cr-inside-a-row", "cell-past-the-csv-limit", "repeated-elements",
-        "elements-not-a-list", "empty-family", "unknown-element"])
+        "elements-not-a-list", "empty-family", "family-not-a-list", "unknown-element"])
 def test_input_errors_are_parse_errors(text, argv, message, tmp_path):
     # what a job reads is a parse error: exit 2, nothing on stdout, one line on stderr
     path = tmp_path / "input"
@@ -609,6 +610,24 @@ def test_evolve_trace_file(tmp_path, capsys):
     assert trace["valuations"][k] == trace["valuations"][k + 1]
 
 
+def test_evolve_inflate_sets_the_box(capsys):
+    from altiset.domains import GridMeasure
+
+    rows = np.loadtxt(FIXTURES / "evolve.csv", delimiter=",", skiprows=1)[:, :2]
+    assert main([
+        "--no-timestamp", "evolve", str(FIXTURES / "evolve.csv"), "--grid", "16x16", "--inflate", "0.5",
+    ]) == EXIT_OK
+    settings = json.loads(capsys.readouterr().out)["meta"]["settings"]
+    grid = GridMeasure.around(rows, 0.5)
+    assert settings["inflate"] == 0.5
+    assert settings["box"] == [grid.xmin, grid.xmax, grid.ymin, grid.ymax]
+
+
+def test_evolve_nan_inflate_is_domain_error():
+    code, out, err = run_main(["evolve", str(FIXTURES / "evolve.csv"), "--inflate", "nan"])
+    assert (code, out, err) == (EXIT_DOMAIN, "", "altiset: error: bounding box is degenerate\n")
+
+
 def test_grid_env_is_not_read(capsys, monkeypatch):
     # --grid is the one way to set the resolution
     monkeypatch.setenv("ALTISET_GRID", "16")
@@ -745,7 +764,7 @@ class TestExitCodes:
             f'{{"elements": ["a", "b"], "h": {{"a": {value}, "b": 1}}, "family": [["a"], ["b"]]}}'
         )
         assert main(["--no-timestamp", "collective", str(path)]) == EXIT_IO
-        assert """'a'] must be a finite number""" in capsys.readouterr().err
+        assert "parse error: valuation of 'a' must be finite\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,text", [
         (["layers", "--relation"], b'{"size": 1, "labels": ["caf\xe9"], "pairs": []}'),

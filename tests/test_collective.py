@@ -3,10 +3,12 @@ import json
 import math
 import random
 from decimal import Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from altiset import collective
 from altiset.collective import (
     SubsetFamily,
     ValuedGroundSet,
@@ -40,8 +42,13 @@ class TestThresholdProfile:
         assert threshold_profile({"a", "c"}, ABC) == (1, 2)
 
     def test_stray_element(self):
-        with pytest.raises(SubsetIndexError):
+        with pytest.raises(SubsetIndexError, match="^member 0 has element 'z' outside the ground set$"):
             threshold_profile({"z"}, ABC)
+
+    @pytest.mark.parametrize("member,stray", [(["y", "a", "z"], "y"), (iter(["a", "z", "y"]), "z")])
+    def test_first_stray_in_the_callers_order(self, member, stray):
+        with pytest.raises(SubsetIndexError, match=f"^member 0 has element '{stray}' outside"):
+            threshold_profile(member, ABC)
 
 
 class TestRhDominates:
@@ -64,6 +71,15 @@ class TestSubsetFamily:
         assert family.index.tolist() == [0, 2, 1] and family.offsets.tolist() == [0, 2, 3, 3]
         assert not (family.index.flags.writeable or family.offsets.flags.writeable)
         assert family.members == (frozenset("ac"), frozenset("b"), frozenset())
+
+    def test_members_are_built_without_checking_each_index(self, monkeypatch):
+        family = random_family(random.Random(3), 5, 40)
+        expected = tuple(family.member(k) for k in range(len(family)))
+        # member(k) checks its k; members reads the runs it already holds
+        monkeypatch.setattr(collective, "index_array", mock.Mock(side_effect=AssertionError))
+        assert family.members == expected
+        with pytest.raises(AssertionError):
+            family.member(0)
 
     @pytest.mark.parametrize("form", [list, iter], ids=["list", "iterator"])
     def test_unknown_element_names_member_and_element(self, form):

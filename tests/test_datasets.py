@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -478,6 +479,15 @@ class TestOrderSystemFormat:
             emit.parse_order_system(f'{{"size": 2, "orders": [{{"keys": [1, {value}]}}]}}')
 
 
+@pytest.mark.parametrize("size", ["-1", "true", "1.5", '"2"', "null"])
+def test_relation_and_order_system_share_the_size_rule(size):
+    message = '^"size" must be a non-negative integer$'
+    with pytest.raises(ParseError, match=message):
+        datasets.parse_relation('{"size": %s, "pairs": []}' % size)
+    with pytest.raises(ParseError, match=message):
+        emit.parse_order_system('{"size": %s, "orders": [{"keys": [1]}]}' % size)
+
+
 # cells float() and np.loadtxt read alike: ints, exponents, signed zeros,
 # blanks and U+00A0 around a cell
 PLAIN_CELLS = st.one_of(
@@ -602,7 +612,7 @@ class TestArrayReader:
         text = "x,y,h\n" + "\n".join(f"{x},{y},{h}" for x, y, h in cells.tolist()) + "\n"
 
         def run():
-            return geo_altiset_oracle(datasets.parse_summits_csv(text, (0.0, 0.0), EUCLIDEAN_2D))
+            return geo_altiset_oracle(datasets.parse_summits_csv(text, (0.0, 0.0)))
 
         assert peak_bytes(run) < 16_000_000
 
@@ -684,6 +694,22 @@ class TestSummitsCsv:
         )
         assert again == field
 
+    def test_reference_selects_the_space(self):
+        assert list(inspect.signature(datasets.parse_summits_csv).parameters) == ["text", "reference"]
+        assert datasets.parse_summits_csv("x,y,h\n1,2,5\n", np.zeros(2)).space == EUCLIDEAN_2D
+        assert datasets.parse_summits_csv("x,h\n1,5\n", np.float64(0)).space == REAL_LINE
+        with pytest.raises(ParseError, match="got rows of unequal length"):
+            datasets.parse_summits_csv("x,y,h\n1,2,5\n", [1.0, [2.0, 3.0]])
+
+    @pytest.mark.parametrize("text,reference,message", [
+        ("x,h\n1,5\n2,3\n", (0.0, 0.0), "2 columns (x,h) do not fit a euclidean-2d space"),
+        ("x,y,h\n0,0,5\n1,1,3\n", 0.0, "3 columns (x,y,h) do not fit a real-line space"),
+        ('x,y,h\n"0",0,5\n', 0.0, "3 columns (x,y,h) do not fit a real-line space"),
+    ], ids=["line-for-a-pair", "plane-for-a-number", "plane-for-a-number-csv-route"])
+    def test_width_must_fit_the_reference(self, text, reference, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            datasets.parse_summits_csv(text, reference)
+
 
 class TestFamilyFormat:
     def test_parse(self):
@@ -710,10 +736,22 @@ class TestFamilyFormat:
             )
 
     def test_valuation_beyond_float_range(self):
-        with pytest.raises(ParseError, match=r"\"h\"\['a'\] must be a finite number"):
+        with pytest.raises(ParseError, match=r"^valuation of 'a' must be finite$"):
             datasets.parse_family(
                 '{"elements": ["a"], "h": {"a": 1%s}, "family": [["a"]]}' % ("0" * 400)
             )
+
+    @pytest.mark.parametrize("h,message", [
+        ("{}", r"valuation missing for \['a'\]"),
+        ('{"a": NaN}', r"valuation of 'a' must be finite"),
+        ('{"a": true}', r'"h"\[\'a\'\] must be a number'),
+        ('{"a": "1"}', r'"h"\[\'a\'\] must be a number'),
+        ('{"a": null}', r'"h"\[\'a\'\] must be a number'),
+    ], ids=["missing", "nan", "boolean", "string", "null"])
+    def test_valuation_messages(self, h, message):
+        # the parser checks JSON types; ValuedGroundSet names a missing or non-finite value
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            datasets.parse_family('{"elements": ["a"], "h": %s, "family": [["a"]]}' % h)
 
     def test_missing_valuation(self):
         with pytest.raises(ParseError, match="missing"):

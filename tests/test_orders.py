@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -341,6 +342,16 @@ class TestQuotient:
         view = quotient(system(2, ([1, 1], GAIN)))
         assert view.classes == ((0, 1),)
         assert view.maximal_classes == {0}
+
+    def test_subset_orders_classes_by_their_kept_members(self, monkeypatch):
+        # 0 and 2 tie, 1 is above them; without 0 the class {2} comes after {1}.
+        # The keys are ranked once, not again for the classes
+        ranks = mock.Mock(wraps=orders._ranks)
+        monkeypatch.setattr(orders, "_ranks", ranks)
+        view = quotient(system(3, ([1, 2, 1], GAIN)), [2, 1])
+        assert view.classes == ((1,), (2,))
+        assert view.maximal_classes == {0}
+        assert ranks.call_count == 1
 
     def test_class_order_is_strict_order(self, rng):
         for _ in range(200):

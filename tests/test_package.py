@@ -1,3 +1,4 @@
+import functools
 import importlib
 import importlib.util
 import os
@@ -115,9 +116,17 @@ class TestExports:
         "print(' '.join(sorted(sys.modules)))\n"
     )
 
+    @staticmethod
+    @functools.cache
+    def job_modules(*argv):
+        """modules_after of JOB on argv in the fixtures directory, run once
+        per argv for all the tests that read it."""
+        fixtures = Path(__file__).parent / "fixtures"
+        return tuple(TestExports.modules_after(TestExports.JOB, "--no-timestamp", *argv, cwd=fixtures))
+
     @FIXTURE_JOBS
     def test_cli_job_loads_only_what_it_runs(self, argv, runs):
-        out = self.modules_after(self.JOB, "--no-timestamp", *argv, cwd=Path(__file__).parent / "fixtures")
+        out = self.job_modules(*argv)
         assert {m for m in KERNELS if f"altiset.{m}" in out} == set(runs)
         assert "altiset.emit" not in out
         assert "_hashlib" not in out  # hashlib loads OpenSSL for its sha256
@@ -128,7 +137,7 @@ class TestExports:
 
     @FIXTURE_JOBS
     def test_readme_counts_the_lines_a_job_loads(self, argv, runs):
-        out = self.modules_after(self.JOB, "--no-timestamp", *argv, cwd=Path(__file__).parent / "fixtures")
+        out = self.job_modules(*argv)
         package = Path(altiset.__file__).parent
         files = [package / f"{m.partition('.')[2] or '__init__'}.py" for m in out
                  if m.partition(".")[0] == "altiset"]
